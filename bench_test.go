@@ -1,151 +1,31 @@
-// Benchmarks reproducing the Loom paper's tables and figures. One
-// testing.B target per experiment (see DESIGN.md §3 for the index), plus
-// per-partitioner micro-benchmarks whose ns/op is directly comparable to
-// Table 2 (time to partition a 10k-edge stream).
-//
-// Run everything with:
+// Component and ingest micro-benchmarks: per-partitioner runs whose ns/op
+// is directly comparable to Table 2 (time to partition a 10k-edge
+// stream), plus the signature, trie, window, eviction, public-API and
+// read-path hot paths in isolation. Run them with:
 //
 //	go test -bench=. -benchmem
 //
-// or regenerate a single artefact, e.g.:
-//
-//	go test -bench=BenchmarkFig7 -benchtime=1x -v
-//
-// The figure benchmarks print their paper-style tables when run with -v via
-// b.Log; cmd/loom-bench renders the same tables to stdout with more knobs.
+// The paper's tables and figures are cmd/loom-bench's (EXPERIMENTS.md);
+// end-to-end speed, memory and serving numbers are the repository
+// benchmark's (benchmark/README.md).
 package loom_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"loom"
 
-	"loom/internal/bench"
 	"loom/internal/core"
 	"loom/internal/dataset"
 	"loom/internal/graph"
 	"loom/internal/partition"
 	"loom/internal/refine"
 	"loom/internal/signature"
-	"loom/internal/simulate"
 	"loom/internal/tpstry"
 	"loom/internal/window"
 	"loom/internal/workload"
 )
-
-// benchCfg is the shared harness configuration for the figure/table
-// benchmarks: small enough that the full suite runs in minutes, large
-// enough that every relative comparison holds.
-func benchCfg() bench.Config {
-	return bench.Config{
-		Scale:      6000,
-		Seed:       42,
-		K:          8,
-		WindowSize: 1024,
-		MaxMatches: 100_000,
-	}
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunTable1(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var buf bytes.Buffer
-			bench.RenderTable1(&buf, rows)
-			b.Log("\n" + buf.String())
-		}
-	}
-}
-
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := bench.RunFig4()
-		if i == 0 {
-			var buf bytes.Buffer
-			bench.RenderFig4(&buf, pts)
-			b.Log("\n" + buf.String())
-		}
-	}
-}
-
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells, err := bench.RunFig7(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var buf bytes.Buffer
-			bench.RenderIPTCells(&buf, "Fig. 7: ipt vs Hash, 8-way, three stream orders", cells)
-			b.Logf("\n%smedian Loom reduction vs Fennel: %.1f%%", buf.String(), bench.SummarizeLoomVsFennel(cells))
-		}
-	}
-}
-
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells, err := bench.RunFig8(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var buf bytes.Buffer
-			bench.RenderIPTCells(&buf, "Fig. 8: ipt vs Hash, k ∈ {2,8,32}, bfs streams", cells)
-			b.Logf("\n%smedian Loom reduction vs Fennel: %.1f%%", buf.String(), bench.SummarizeLoomVsFennel(cells))
-		}
-	}
-}
-
-func BenchmarkFig9(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Datasets = []string{"provgen", "musicbrainz"}
-	for i := 0; i < b.N; i++ {
-		pts, err := bench.RunFig9(cfg, []int{64, 256, 1024, 4096})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var buf bytes.Buffer
-			bench.RenderFig9(&buf, pts)
-			b.Log("\n" + buf.String())
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunTable2(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var buf bytes.Buffer
-			bench.RenderTable2(&buf, rows)
-			b.Log("\n" + buf.String())
-		}
-	}
-}
-
-func BenchmarkAblation(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Datasets = []string{"musicbrainz"}
-	for i := 0; i < b.N; i++ {
-		cells, err := bench.RunAblation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var buf bytes.Buffer
-			bench.RenderAblation(&buf, cells)
-			b.Log("\n" + buf.String())
-		}
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Micro-benchmarks: time to partition a 10k-edge stream (Table 2's unit).
@@ -250,9 +130,9 @@ func BenchmarkLoomPartition10k(b *testing.B) {
 // public API with a write-ahead log under the default group-commit policy
 // — the pair quantifies what durability costs on the paper configuration.
 // Each iteration pays the full lifecycle (Open's directory fsync, Close's
-// final group write + fsync) on top of the ingest itself; the
-// `loom-bench -exp recover` sweep isolates the in-stream overhead across
-// all fsync policies with interleaved-minimum methodology.
+// final group write + fsync) on top of the ingest itself; the benchmark's
+// durable.overhead_x isolates the in-stream overhead under the default
+// policy (benchmark/README.md).
 func BenchmarkDurableLoomPartition10k(b *testing.B) {
 	s, _ := tenKStream(b)
 	stream := make([]loom.StreamEdge, len(s))
@@ -361,38 +241,6 @@ func BenchmarkWindowInsert(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		}
-	}
-}
-
-func BenchmarkSimulation(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Datasets = []string{"provgen"}
-	for i := 0; i < b.N; i++ {
-		cells, err := bench.RunSimulation(cfg, simulate.CostModel{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var buf bytes.Buffer
-			bench.RenderSimulation(&buf, cells)
-			b.Log("\n" + buf.String())
-		}
-	}
-}
-
-func BenchmarkExtensions(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Datasets = []string{"provgen"}
-	for i := 0; i < b.N; i++ {
-		cells, err := bench.RunExtensions(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var buf bytes.Buffer
-			bench.RenderExtensions(&buf, cells)
-			b.Log("\n" + buf.String())
 		}
 	}
 }
@@ -708,9 +556,9 @@ func BenchmarkAddBatch(b *testing.B) {
 // BenchmarkAddBatchParallel measures the stage-parallel AddBatch pipeline
 // across worker counts (workers1 is the exact single-threaded path and the
 // regression guard for it; the others exercise the gang prepare pre-pass).
-// Batches of 2048 edges match the scale experiment. On a single-core
-// machine all sub-benchmarks share one CPU, so the multi-worker numbers
-// measure pipeline overhead rather than speedup.
+// Batches are 2048 edges. On a single-core machine all sub-benchmarks
+// share one CPU, so the multi-worker numbers measure pipeline overhead
+// rather than speedup.
 func BenchmarkAddBatchParallel(b *testing.B) {
 	s, _ := tenKStream(b)
 	pub := make([]loom.StreamEdge, len(s))
@@ -769,7 +617,7 @@ func BenchmarkAddBatchParallel(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Read-path benchmarks: snapshot capture and point reads at serving scale
-// (one million assigned vertices, the router-tier regime of ISSUE 6). The
+// (one million assigned vertices, the router-tier regime). The
 // clone benchmark pins the historical O(V) deep-copy cost that the epoch
 // read path replaces. Run with
 //

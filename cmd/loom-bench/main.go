@@ -6,33 +6,20 @@
 //	loom-bench -exp all
 //	loom-bench -exp fig7 -scale 20000 -k 8
 //	loom-bench -exp fig9 -datasets musicbrainz
-//	loom-bench -exp perf -json BENCH_$(git rev-parse --short HEAD).json
-//	loom-bench -exp scale -json BENCH_parallel.json
-//	loom-bench -exp perf -cpuprofile cpu.pprof -memprofile mem.pprof
+//	loom-bench -exp table2 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Experiments: table1, fig4, fig7, fig8, fig9, table2, ablation, perf,
-// scale, read, hub, recover, all. The perf experiment measures every partitioner's
-// streaming cost (ns, allocs and bytes per edge) plus the ipt it buys;
-// the scale experiment sweeps AddBatch worker counts (multi-core ingest);
-// the read experiment measures the lock-free read path (snapshot latency
-// vs assignment size, and read/ingest throughput under contention);
-// the hub experiment stresses the matching core's join path on
-// adversarial dense-hub and high-overlap window shapes; the recover
-// experiment measures the durability subsystem (WAL ingest overhead per
-// fsync policy, checkpoint cost, recovery time vs log tail); the route
-// experiment measures the placement-serving tier (routing QPS under live
-// ingest, replica catch-up vs checkpoint position, scatter fan-out vs
-// broadcast); the chaos experiment injects WAL faults — a primary killed
-// mid-write, segments pruned out from under a follower, a flipped bit in
-// a tailed segment, transient read errors, an fsync-bouncing disk — and
-// asserts the supervised serving tier self-heals with zero wrong routes
-// (-short trims it to a CI smoke). -json writes
-// the perf, scale, read, hub, recover, route or chaos experiment as machine-readable
-// JSON ("-" for stdout) so the performance trajectory can be tracked across commits
-// (BENCH_*.json).
+// -exp takes one name from the experiments list below (-help prints it)
+// or all. Beyond the paper's artefacts the list holds the chaos
+// experiment, which injects WAL faults — a primary killed mid-write,
+// segments pruned out from under a follower, a flipped bit in a tailed
+// segment, transient read errors, an fsync-bouncing disk — and fails
+// unless the supervised serving tier self-heals with zero wrong routes
+// (-short trims its streams).
 // -cpuprofile / -memprofile write pprof profiles covering the selected
 // experiment, so hot-path work is profileable without a custom harness.
-// See EXPERIMENTS.md for how each output maps onto the paper's results.
+// Speed, memory and serving numbers come from the repository's benchmark
+// (benchmark/README.md), not from this command. See EXPERIMENTS.md for how
+// each output maps onto the paper's results.
 package main
 
 import (
@@ -41,6 +28,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -48,17 +36,20 @@ import (
 	"loom/internal/simulate"
 )
 
+// experiments is the one list of -exp names, in the order -exp all runs
+// them: the usage string is built from it and TestRunEachExperiment runs
+// each, so -help cannot advertise a name run rejects.
+var experiments = []string{"table1", "fig4", "fig7", "fig8", "table2", "fig9", "ablation", "extensions", "simulate", "motifs", "chaos"}
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, fig4, fig7, fig8, fig9, table2, ablation, extensions, simulate, motifs, perf, scale, read, hub, recover, route, chaos, footprint, all")
-		short    = flag.Bool("short", false, "trim the chaos experiment to a CI-smoke scale")
+		exp      = flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", ")+", all")
+		short    = flag.Bool("short", false, "trim the chaos experiment's streams for a quick check")
 		scale    = flag.Int("scale", 12000, "per-dataset target vertex count")
 		seed     = flag.Int64("seed", 42, "seed for generation/shuffles/signatures")
 		k        = flag.Int("k", 8, "partitions (fig7/fig9/table2)")
 		win      = flag.Int("window", 2048, "Loom window size at harness scale")
 		datasets = flag.String("datasets", "", "comma-separated subset (default: dblp,provgen,musicbrainz,lubm)")
-		fpEdges  = flag.String("edges", "1e6", "footprint: comma-separated stream edge counts, e.g. 1e6,1e7,1e8")
-		jsonOut  = flag.String("json", "", "write the perf, scale, read, hub or recover experiment as JSON to this file (\"-\" for stdout)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile covering the experiment to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the experiment to this file")
 	)
@@ -68,35 +59,8 @@ func main() {
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")
 	}
-	edgeCounts, err := bench.ParseEdgeCounts(*fpEdges)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loom-bench: %v\n", err)
-		os.Exit(1)
-	}
 	if err := withProfiles(*cpuProf, *memProf, func() error {
-		if *jsonOut != "" {
-			switch *exp {
-			case "all", "perf":
-				return runPerfJSON(cfg, *jsonOut)
-			case "scale":
-				return runScaleJSON(cfg, *jsonOut)
-			case "read":
-				return runReadJSON(cfg, *jsonOut)
-			case "hub":
-				return runHubJSON(cfg, *jsonOut)
-			case "recover":
-				return runRecoverJSON(cfg, *jsonOut)
-			case "route":
-				return runRouteJSON(cfg, *jsonOut)
-			case "chaos":
-				return runChaosJSON(cfg, *jsonOut, *short)
-			case "footprint":
-				return runFootprintJSON(cfg, edgeCounts, *jsonOut)
-			default:
-				return fmt.Errorf("-json only applies to the perf, scale, read, hub, recover, route, chaos and footprint experiments (got -exp %s)", *exp)
-			}
-		}
-		return run(*exp, cfg, *short, edgeCounts)
+		return run(*exp, cfg, *short)
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "loom-bench: %v\n", err)
 		os.Exit(1)
@@ -135,175 +99,10 @@ func withProfiles(cpuPath, memPath string, fn func() error) error {
 	return nil
 }
 
-// runPerfJSON runs the perf experiment and writes the machine-readable
-// report to path ("-" = stdout).
-func runPerfJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunPerf(cfg)
-	if err != nil {
-		return err
+func run(exp string, cfg bench.Config, short bool) error {
+	if exp != "all" && !slices.Contains(experiments, exp) {
+		return fmt.Errorf("unknown experiment %q", exp)
 	}
-	if path == "-" {
-		return bench.WritePerfJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WritePerfJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runHubJSON runs the join-path stress shapes and writes the
-// machine-readable report to path ("-" = stdout).
-func runHubJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunHub(cfg)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteHubJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteHubJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runReadJSON runs the read-path experiment and writes the
-// machine-readable report to path ("-" = stdout).
-func runReadJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunRead(cfg)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteReadJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteReadJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runRecoverJSON runs the durability experiment and writes the
-// machine-readable report to path ("-" = stdout).
-func runRecoverJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunRecover(cfg)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteRecoverJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteRecoverJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runRouteJSON runs the serving-tier experiment and writes the
-// machine-readable report to path ("-" = stdout).
-func runRouteJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunRoute(cfg)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteRouteJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteRouteJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runChaosJSON runs the fault-injection suite and writes the
-// machine-readable report to path ("-" = stdout).
-func runChaosJSON(cfg bench.Config, path string, short bool) error {
-	rep, err := bench.RunChaos(cfg, short)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteChaosJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteChaosJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runScaleJSON runs the multi-core scaling sweep and writes the
-// machine-readable report to path ("-" = stdout).
-func runScaleJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunScale(cfg)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteScaleJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteScaleJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runFootprintJSON runs the memory-footprint sweep and writes the
-// machine-readable report to path ("-" = stdout).
-func runFootprintJSON(cfg bench.Config, edgeCounts []int64, path string) error {
-	rep, err := bench.RunFootprint(cfg, edgeCounts, nil)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteFootprintJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteFootprintJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func run(exp string, cfg bench.Config, short bool, edgeCounts []int64) error {
 	runOne := func(name string) error {
 		start := time.Now()
 		defer func() {
@@ -366,54 +165,12 @@ func run(exp string, cfg bench.Config, short bool, edgeCounts []int64) error {
 			if err := bench.RenderMotifs(os.Stdout, cfg); err != nil {
 				return err
 			}
-		case "perf":
-			rep, err := bench.RunPerf(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderPerf(os.Stdout, rep)
-		case "scale":
-			rep, err := bench.RunScale(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderScale(os.Stdout, rep)
-		case "read":
-			rep, err := bench.RunRead(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderRead(os.Stdout, rep)
-		case "hub":
-			rep, err := bench.RunHub(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderHub(os.Stdout, rep)
-		case "recover":
-			rep, err := bench.RunRecover(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderRecover(os.Stdout, rep)
-		case "route":
-			rep, err := bench.RunRoute(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderRoute(os.Stdout, rep)
 		case "chaos":
 			rep, err := bench.RunChaos(cfg, short)
 			if err != nil {
 				return err
 			}
 			bench.RenderChaos(os.Stdout, rep)
-		case "footprint":
-			rep, err := bench.RunFootprint(cfg, edgeCounts, nil)
-			if err != nil {
-				return err
-			}
-			bench.RenderFootprint(os.Stdout, rep)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -421,7 +178,7 @@ func run(exp string, cfg bench.Config, short bool, edgeCounts []int64) error {
 	}
 
 	if exp == "all" {
-		for _, name := range []string{"table1", "fig4", "fig7", "fig8", "table2", "fig9", "ablation", "extensions", "simulate"} {
+		for _, name := range experiments {
 			if err := runOne(name); err != nil {
 				return err
 			}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"testing"
 
@@ -13,28 +12,13 @@ func tinyCfg() bench.Config {
 }
 
 func TestRunEachExperiment(t *testing.T) {
-	for _, exp := range []string{"table1", "fig4", "fig9", "table2", "ablation", "extensions", "motifs", "simulate", "perf", "scale"} {
-		if err := run(exp, tinyCfg(), false, nil); err != nil {
+	for _, exp := range experiments {
+		if exp == "fig7" || exp == "fig8" {
+			continue // TestRunFig7AndFig8 runs them, outside -short
+		}
+		if err := run(exp, tinyCfg(), true); err != nil {
 			t.Errorf("%s: %v", exp, err)
 		}
-	}
-}
-
-func TestRunScaleJSON(t *testing.T) {
-	path := t.TempDir() + "/BENCH_scale_test.json"
-	if err := runScaleJSON(tinyCfg(), path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep bench.ScaleReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if want := len(bench.ScaleWorkers); len(rep.Rows) != want {
-		t.Fatalf("got %d rows, want %d", len(rep.Rows), want)
 	}
 }
 
@@ -64,42 +48,21 @@ func TestWithProfiles(t *testing.T) {
 	}
 }
 
-func TestRunPerfJSON(t *testing.T) {
-	path := t.TempDir() + "/BENCH_test.json"
-	if err := runPerfJSON(tinyCfg(), path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep bench.PerfReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if want := len(bench.Systems) * len(bench.PerfIngestModes); len(rep.Rows) != want {
-		t.Fatalf("got %d rows, want %d", len(rep.Rows), want)
-	}
-	for _, r := range rep.Rows {
-		if r.NsPerEdge <= 0 {
-			t.Errorf("%s/%s: non-positive ns/edge %v", r.Dataset, r.System, r.NsPerEdge)
-		}
-	}
-}
-
 func TestRunFig7AndFig8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	for _, exp := range []string{"fig7", "fig8"} {
-		if err := run(exp, tinyCfg(), false, nil); err != nil {
+		if err := run(exp, tinyCfg(), false); err != nil {
 			t.Errorf("%s: %v", exp, err)
 		}
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("fig99", tinyCfg(), false, nil); err == nil {
-		t.Error("unknown experiment: want error")
+	for _, name := range []string{"fig99", "perf"} {
+		if err := run(name, tinyCfg(), false); err == nil {
+			t.Errorf("-exp %s: want unknown-experiment error", name)
+		}
 	}
 }

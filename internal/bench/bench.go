@@ -8,11 +8,12 @@
 //	Table 2 — milliseconds to partition 10k edges, per system × dataset
 //	Fig. 9  — ipt versus Loom window size t
 //
-// plus ablation experiments for the design choices DESIGN.md calls out
-// (equal opportunism vs naive greedy, support weighting, rationing).
+// plus ablation experiments for Loom's design choices (equal opportunism
+// vs naive greedy, support weighting, rationing), the §6 extensions, the
+// simulated distributed execution and the chaos fault-injection suite.
 //
-// Experiments return plain structs and render aligned text tables, so the
-// same code serves cmd/loom-bench and the root testing.B benchmarks.
+// Experiments return plain structs and render aligned text tables for
+// cmd/loom-bench.
 package bench
 
 import (

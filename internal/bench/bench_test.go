@@ -8,8 +8,7 @@ import (
 	"loom/internal/graph"
 )
 
-// smallCfg keeps unit tests fast; the full-scale runs live in the root
-// bench_test.go and cmd/loom-bench.
+// smallCfg keeps unit tests fast; the full-scale runs are cmd/loom-bench's.
 func smallCfg() Config {
 	return Config{
 		Scale:      2500,

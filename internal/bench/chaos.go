@@ -13,10 +13,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"text/tabwriter"
@@ -64,14 +62,13 @@ type ChaosDurabilityRow struct {
 	RecoveredOK  bool   `json:"recovered_ok"`  // reopened state matches the reference
 }
 
-// ChaosReport is the machine-readable output of RunChaos.
+// ChaosReport is the output of RunChaos.
 type ChaosReport struct {
 	Dataset    string               `json:"dataset"`
 	Seed       int64                `json:"seed"`
 	K          int                  `json:"k"`
 	WindowSize int                  `json:"window_size"`
 	Short      bool                 `json:"short"`
-	GoVersion  string               `json:"go_version"`
 	Scenarios  []ChaosRow           `json:"scenarios"`
 	Durability []ChaosDurabilityRow `json:"durability"`
 }
@@ -564,7 +561,7 @@ func chaosDurability(ds string, cfg Config, edgesCap int) (ChaosDurabilityRow, e
 }
 
 // RunChaos runs every fault scenario. short trims the stream so the
-// suite fits a CI smoke slot.
+// suite fits a unit-test run (TestRunChaos).
 func RunChaos(cfg Config, short bool) (*ChaosReport, error) {
 	cfg = cfg.withDefaults()
 	edgesCap := 4000
@@ -578,7 +575,6 @@ func RunChaos(cfg Config, short bool) (*ChaosReport, error) {
 		K:          cfg.K,
 		WindowSize: cfg.WindowSize,
 		Short:      short,
-		GoVersion:  runtime.Version(),
 	}
 	for _, sc := range []func(string, Config, int) (ChaosRow, error){
 		chaosPrimaryKill, chaosPruneGap, chaosBitFlip, chaosTransientReads,
@@ -603,13 +599,6 @@ func RunChaos(cfg Config, short bool) (*ChaosReport, error) {
 	}
 	rep.Durability = append(rep.Durability, drow)
 	return rep, nil
-}
-
-// WriteChaosJSON writes the report as indented JSON.
-func WriteChaosJSON(w io.Writer, rep *ChaosReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // RenderChaos writes the report as aligned text tables.

@@ -326,9 +326,8 @@ func RenderAblation(w io.Writer, cells []AblationCell) {
 	tw.Flush()
 }
 
-// ExecuteWorkloadOnce is a convenience for the root benchmarks: it
-// partitions the dataset with the named system and returns the workload ipt
-// result (used by testing.B wrappers that need a single number).
+// ExecuteWorkloadOnce partitions the dataset with the named system and
+// returns the workload ipt result, for callers that need a single number.
 func ExecuteWorkloadOnce(ds, sys string, order graph.StreamOrder, cfg Config) (workload.Result, error) {
 	cfg = cfg.withDefaults()
 	p, err := prepare(ds, cfg)

@@ -27,7 +27,7 @@
 // inconsistent with both the prose ("inversely correlated with Si's size")
 // and the worked example (l = (1/1.33)·(2/3) = 1/2); this implementation
 // follows the example: l(Si) = α·Smin/|V(Si)|, clamped to 1 for the
-// smallest partition and 0 beyond the imbalance bound b (see DESIGN.md §5).
+// smallest partition and 0 beyond the imbalance bound b.
 package core
 
 import (
@@ -529,11 +529,11 @@ func compareEdgeSets(a, b []graph.Edge) int {
 	return cmp.Compare(len(a), len(b))
 }
 
-// ration computes l(Si) (Eq. 2, corrected per DESIGN.md §5): 1 for the
-// smallest partition; 0 for a partition at its capacity C = b·n/k (the
-// imbalance bound b "emulating Fennel", whose ν = 1.1 is relative to n/k);
-// otherwise α·Smin/|V(Si)|, inversely correlated with Si's size relative to
-// the smallest partition.
+// ration computes l(Si) (Eq. 2, corrected as the package comment
+// explains): 1 for the smallest partition; 0 for a partition at its
+// capacity C = b·n/k (the imbalance bound b "emulating Fennel", whose
+// ν = 1.1 is relative to n/k); otherwise α·Smin/|V(Si)|, inversely
+// correlated with Si's size relative to the smallest partition.
 func (l *Loom) ration(p partition.ID, smin int) float64 {
 	if l.cfg.DisableRation {
 		return 1
@@ -561,8 +561,8 @@ func (l *Loom) ration(p partition.ID, smin int) float64 {
 // generalisation counts both the match's member vertices already in Si and
 // the observed incident edges from the match's vertices into Si. For a
 // fresh single-edge match this reduces exactly to LDG's N(Si, e); the
-// printed |V(Si) ∩ V(Ek)| alone discards the neighbourhood signal LDG uses
-// (see DESIGN.md §5). The neighbourhood term reads the tracker's
+// printed |V(Si) ∩ V(Ek)| alone discards the neighbourhood signal LDG uses.
+// The neighbourhood term reads the tracker's
 // incrementally maintained per-vertex count rows instead of walking
 // adjacency, so one scatter is O(|V(Ek)|·K) regardless of vertex degree —
 // on hub-heavy streams the walk it replaces was O(hub degree) per

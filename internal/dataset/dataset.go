@@ -3,8 +3,8 @@
 //
 // The paper evaluates on two real datasets (DBLP, MusicBrainz) and three
 // synthetic ones (ProvGen, LUBM-100, LUBM-4000). The real dumps are not
-// redistributable here, so per DESIGN.md §2 each is replaced by a generator
-// that preserves the properties the experiments depend on:
+// redistributable here, so each is replaced by a generator that preserves
+// the properties the experiments depend on:
 //
 //   - label heterogeneity |LV| (8 for DBLP, 3 for ProvGen, 12 for
 //     MusicBrainz, 15 for LUBM) — the axis §5.2 identifies as driving

@@ -12,8 +12,8 @@ import (
 // streaming it), a StreamGen emits edges one at a time from O(1) state:
 // vertex IDs and labels are computed arithmetically, never stored, so a
 // 10⁸-edge stream costs the same generator memory as a 10³-edge one.
-// That is the scale regime of the footprint experiments — the recorded
-// graph under test must be the only thing that grows.
+// At memory-footprint scale the recorded graph under test must be the
+// only thing that grows.
 type StreamSpec struct {
 	// Mode selects the stream shape: "powerlaw" (skewed social-network-like
 	// degree distribution) or "triples" (RDF-shaped: entity–entity links

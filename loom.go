@@ -632,7 +632,8 @@ func (p *Partitioner) Name() string { return p.name }
 //
 // AddBatch is the preferred ingest path: the ingest lock (and the public
 // per-call overhead around it) is paid once per batch rather than once per
-// edge — see BENCH_pr3_api.json for the measured per-edge saving. With
+// edge — the benchmark's loom.addbatch_ns_per_edge against
+// loom.addedge_ns_per_edge (benchmark/README.md) measures the difference. With
 // Options.Workers > 1, Loom partitioners additionally run the batch
 // through a stage-parallel pipeline (parallel prepare pre-pass, sequential
 // placement core) whose placements are bit-identical to the single-threaded
