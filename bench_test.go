@@ -617,9 +617,7 @@ func BenchmarkAddBatchParallel(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Read-path benchmarks: snapshot capture and point reads at serving scale
-// (one million assigned vertices, the router-tier regime). The
-// clone benchmark pins the historical O(V) deep-copy cost that the epoch
-// read path replaces. Run with
+// (one million assigned vertices, the router-tier regime). Run with
 //
 //	go test -bench='Snapshot|PartitionOf' -benchmem
 // ---------------------------------------------------------------------------
@@ -670,24 +668,6 @@ func BenchmarkSnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if s := p.Snapshot(); s.NumAssigned() != benchReadVertices {
 			b.Fatal("inconsistent snapshot")
-		}
-	}
-}
-
-// BenchmarkSnapshotClone pins the O(V) deep-copy baseline
-// (Tracker.Snapshot: parts, sizes and the whole vertex table) that
-// Partitioner.Snapshot historically paid per call.
-func BenchmarkSnapshotClone(b *testing.B) {
-	const n = benchReadVertices
-	tr := partition.NewTracker(8, partition.CapacityFor(n, 8, partition.DefaultImbalance))
-	for i := 0; i < n; i++ {
-		tr.Assign(graph.VertexID(i), partition.ID(i%8))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := tr.Snapshot(); s.NumAssigned() != n {
-			b.Fatal("inconsistent clone")
 		}
 	}
 }

@@ -252,8 +252,8 @@ func (l *Loom) Config() Config { return l.cfg }
 // Stats returns processing counters.
 func (l *Loom) Stats() Stats { return l.stats }
 
-// Tracker exposes the partition tracker (tests pre-seed assignments; the
-// bench harness reads sizes).
+// Tracker implements partition.Streamer (tests also pre-seed assignments
+// through it).
 func (l *Loom) Tracker() *partition.Tracker { return l.tr }
 
 // Window exposes the sliding window (diagnostics).
@@ -856,14 +856,8 @@ func (l *Loom) naiveWinner(me []*window.Match) partition.ID {
 // Assignment implements partition.Streamer.
 func (l *Loom) Assignment() *partition.Assignment { return l.tr.Assignment() }
 
-// Snapshot implements partition.Streamer: a fully isolated copy of the
-// current assignment (cloned vertex table), safe to read while streaming
-// continues on another goroutine.
-func (l *Loom) Snapshot() *partition.Assignment { return l.tr.Snapshot() }
-
-// Publish captures the current assignment as an immutable copy-on-write
-// epoch (see partition.Tracker.Publish). The public layer calls this at
-// batch boundaries — the stream's natural consistent points — to feed its
-// lock-free Snapshot/PartitionOf read path; pure single-threaded users
-// (bench harness, cmd tools) never pay for it.
+// Publish captures the current assignment as an immutable epoch (see
+// partition.Tracker.Publish), as the public layer does after every ingest
+// call to feed its lock-free read path; pure single-threaded users (cmd
+// tools) never pay for it.
 func (l *Loom) Publish() *partition.Epoch { return l.tr.Publish() }

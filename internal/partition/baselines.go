@@ -55,10 +55,7 @@ func (h *Hash) Flush() {}
 // Assignment implements Streamer.
 func (h *Hash) Assignment() *Assignment { return h.t.Assignment() }
 
-// Snapshot implements Streamer.
-func (h *Hash) Snapshot() *Assignment { return h.t.Snapshot() }
-
-// Tracker exposes the underlying tracker (benchmarks inspect sizes).
+// Tracker implements Streamer.
 func (h *Hash) Tracker() *Tracker { return h.t }
 
 // ---------------------------------------------------------------------------
@@ -107,10 +104,7 @@ func (l *LDG) Flush() {}
 // Assignment implements Streamer.
 func (l *LDG) Assignment() *Assignment { return l.t.Assignment() }
 
-// Snapshot implements Streamer.
-func (l *LDG) Snapshot() *Assignment { return l.t.Snapshot() }
-
-// Tracker exposes the underlying tracker.
+// Tracker implements Streamer.
 func (l *LDG) Tracker() *Tracker { return l.t }
 
 // ---------------------------------------------------------------------------
@@ -135,6 +129,12 @@ type Fennel struct {
 // expected vertex and edge counts (used to derive α and the capacity
 // ν·n/k with ν = DefaultImbalance).
 func NewFennel(k, expectedVertices, expectedEdges int) *Fennel {
+	return NewFennelSlack(k, expectedVertices, expectedEdges, DefaultImbalance)
+}
+
+// NewFennelSlack is NewFennel with the balance slack ν of the capacity
+// ν·n/k given explicitly.
+func NewFennelSlack(k, expectedVertices, expectedEdges int, slack float64) *Fennel {
 	n := float64(expectedVertices)
 	m := float64(expectedEdges)
 	if n < 1 {
@@ -142,7 +142,7 @@ func NewFennel(k, expectedVertices, expectedEdges int) *Fennel {
 	}
 	alpha := m * math.Pow(float64(k), FennelGamma-1) / math.Pow(n, FennelGamma)
 	return &Fennel{
-		t:     NewTracker(k, CapacityFor(expectedVertices, k, DefaultImbalance)),
+		t:     NewTracker(k, CapacityFor(expectedVertices, k, slack)),
 		alpha: alpha,
 		gamma: FennelGamma,
 	}
@@ -196,10 +196,7 @@ func (f *Fennel) Flush() {}
 // Assignment implements Streamer.
 func (f *Fennel) Assignment() *Assignment { return f.t.Assignment() }
 
-// Snapshot implements Streamer.
-func (f *Fennel) Snapshot() *Assignment { return f.t.Snapshot() }
-
-// Tracker exposes the underlying tracker.
+// Tracker implements Streamer.
 func (f *Fennel) Tracker() *Tracker { return f.t }
 
 // Alpha returns the derived α parameter (for tests and diagnostics).

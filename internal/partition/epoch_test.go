@@ -6,9 +6,10 @@ import (
 	"loom/internal/graph"
 )
 
-// White-box tests for the copy-on-write publish path: held epochs are
-// immutable under further ingest, clean pages are shared across epochs by
-// pointer identity, and publishing with no changes reuses the prior epoch.
+// White-box tests for the stamped-page publish path: held epochs are
+// immutable under further ingest even though later placements land on the
+// pages they share, Publish costs O(k), and publishing with no changes
+// reuses the prior epoch.
 
 // fillTracker assigns dense indices [lo, hi) round-robin over k partitions.
 func fillTracker(t *Tracker, lo, hi int) {
@@ -29,9 +30,6 @@ func TestEpochHeldSnapshotImmutable(t *testing.T) {
 	e1 := tr.Publish()
 	if e1 == nil {
 		t.Fatal("Publish returned nil")
-	}
-	if e1.Seq() != 1 {
-		t.Fatalf("first publish seq = %d, want 1", e1.Seq())
 	}
 	if e1.NumAssigned() != first {
 		t.Fatalf("epoch assigned %d, want %d", e1.NumAssigned(), first)
@@ -75,39 +73,114 @@ func TestEpochHeldSnapshotImmutable(t *testing.T) {
 	}
 }
 
-// TestEpochPageSharing: pages untouched between publishes are shared by
-// pointer identity — only dirty pages are re-copied.
+// TestEpochPageSharing: a held epoch stays frozen while later placements
+// are stamped onto the pages it shares, and a no-op Publish returns the
+// same epoch.
 func TestEpochPageSharing(t *testing.T) {
-	tr := NewTracker(2, 1.5)
-	fillTracker(tr, 0, 2*PageSize+PageSize/2) // pages 0,1 full; page 2 half
+	const k = 2
+	tr := NewTracker(k, 1.5)
+	half := 2*PageSize + PageSize/2
+	fillTracker(tr, 0, half) // pages 0,1 full; page 2 half
 	e1 := tr.Publish()
-	if len(e1.pages) != 3 {
-		t.Fatalf("e1 has %d pages, want 3", len(e1.pages))
-	}
 
-	// New assignments land in page 2's tail and page 3; pages 0-1 stay clean.
-	fillTracker(tr, 2*PageSize+PageSize/2, 4*PageSize)
+	// New placements land in page 2's tail — a page e1 shares — and page 3.
+	fillTracker(tr, half, 4*PageSize)
 	e2 := tr.Publish()
-	if len(e2.pages) != 4 {
-		t.Fatalf("e2 has %d pages, want 4", len(e2.pages))
+	if e1.pages[2] != e2.pages[2] {
+		t.Fatal("page 2 was replaced: pages must be stamped in place, never copied")
+	}
+	for v := half; v < 3*PageSize; v++ {
+		if got := e1.Of(graph.VertexID(v)); got != Unassigned {
+			t.Fatalf("held epoch sees later placement: Of(%d) = %d", v, got)
+		}
+		if got := e2.Of(graph.VertexID(v)); got != ID(v%k) {
+			t.Fatalf("new epoch Of(%d) = %d, want %d", v, got, v%k)
+		}
+	}
+	n := 0
+	e1.Each(func(graph.VertexID, ID) { n++ })
+	if n != half || e1.NumAssigned() != half {
+		t.Fatalf("held epoch enumerates %d (NumAssigned %d), want %d", n, e1.NumAssigned(), half)
 	}
 
-	if e2.pages[0] != e1.pages[0] || e2.pages[1] != e1.pages[1] {
-		t.Error("clean pages were re-copied: want pointer-identical pages 0 and 1")
+	// Interning without placing changes nothing an epoch shows.
+	tr.Intern(graph.VertexID(5 * PageSize))
+	if e3 := tr.Publish(); e3 != e2 {
+		t.Error("no-op Publish built a new epoch")
 	}
-	if e2.pages[2] == e1.pages[2] {
-		t.Error("dirty page 2 shared between epochs: held epoch would see new writes")
-	}
+}
 
-	// Publishing with nothing new reuses the whole epoch.
-	e3 := tr.Publish()
-	if e3 != e2 {
-		t.Errorf("no-op Publish built a new epoch (seq %d → %d)", e2.Seq(), e3.Seq())
+// TestPublishAllocsConstant: Publish after placements into existing pages
+// allocates at most the epoch header and its sizes, however many pages the
+// placements touched.
+func TestPublishAllocsConstant(t *testing.T) {
+	tr := NewTracker(4, 1<<20)
+	const n = 64 * PageSize
+	fillTracker(tr, 0, 1) // vertex 0 on page 0
+	for v := 1; v < n; v++ {
+		tr.Intern(graph.VertexID(v))
 	}
+	tr.Publish() // allocate every page up front
+	next := 1
+	for _, dirty := range []int{1, 64} {
+		allocs := testing.AllocsPerRun(20, func() {
+			for p := 0; p < dirty; p++ {
+				// One placement per page: page p, slot next.
+				tr.AssignIdx(uint32(p*PageSize+next), ID(p%4))
+			}
+			next++
+			tr.Publish()
+		})
+		if allocs > 2 {
+			t.Errorf("Publish after placements on %d pages: %.1f allocs, want <= 2", dirty, allocs)
+		}
+	}
+}
 
-	// Latest always returns the most recent publish.
-	if tr.Latest() != e3 {
-		t.Error("Latest() disagrees with last Publish()")
+// TestNewEpochMatchesAssignment: an epoch built from an offline assignment
+// shows exactly its placements and sizes.
+func TestNewEpochMatchesAssignment(t *testing.T) {
+	a := AssignmentOf(3, map[graph.VertexID]ID{1: 0, 2: 2, 7: 1, 9: 2})
+	a.Table().Intern(42) // interned, never placed
+	e := NewEpoch(a)
+	if e.NumAssigned() != 4 || e.K() != 3 {
+		t.Fatalf("epoch: %d assigned k=%d, want 4 k=3", e.NumAssigned(), e.K())
+	}
+	for _, v := range []graph.VertexID{1, 2, 7, 9, 42, 100} {
+		if got, want := e.Of(v), a.Of(v); got != want {
+			t.Errorf("Of(%d) = %d, assignment says %d", v, got, want)
+		}
+	}
+	if got := e.Sizes(); got[0] != 1 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("sizes = %v, want [1 1 2]", got)
+	}
+}
+
+// BenchmarkPublish measures one batch-boundary publish at serving scale:
+// 256 placements scattered over a 2^20-vertex table, then Publish.
+func BenchmarkPublish(b *testing.B) {
+	const n = 1 << 20
+	const batch = 256
+	var tr *Tracker
+	next := n // forces a fresh tracker on the first iteration
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if next+batch > n {
+			b.StopTimer()
+			tr = NewTracker(8, n)
+			for v := 0; v < n; v++ {
+				tr.Intern(graph.VertexID(v))
+			}
+			tr.Publish()
+			next = 0
+			b.StartTimer()
+		}
+		for j := 0; j < batch; j++ {
+			// An odd multiplier permutes [0, n): placements spread over pages.
+			tr.AssignIdx(uint32((next*40503)&(n-1)), ID(next&7))
+			next++
+		}
+		tr.Publish()
 	}
 }
 

@@ -62,10 +62,9 @@ type Streamer interface {
 	// returned value copies the per-vertex placements but shares the
 	// (grow-only) vertex table with the streamer.
 	Assignment() *Assignment
-	// Snapshot returns a fully isolated copy of the current assignment:
-	// placements, sizes and the vertex table are all deep-copied, so the
-	// snapshot stays consistent and race-free while streaming continues.
-	Snapshot() *Assignment
+	// Tracker returns the streamer's placement state, whose Publish feeds
+	// concurrent readers immutable epochs while streaming continues.
+	Tracker() *Tracker
 }
 
 // Assignment is the result of a partitioning run: a dense slice of
@@ -173,69 +172,74 @@ func (a *Assignment) Table() *intern.VertexTable { return a.verts }
 // with NewAssignmentFrom.
 func (a *Assignment) PartsClone() []ID { return append([]ID(nil), a.parts...) }
 
-// Clone returns a fully isolated deep copy of the assignment: placements,
-// sizes and the vertex table share no state with the original, so the copy
-// can be read from any goroutine while the original's table keeps growing.
-func (a *Assignment) Clone() *Assignment {
-	c := &Assignment{
-		K:        a.K,
-		Sizes:    append([]int(nil), a.Sizes...),
-		parts:    append([]ID(nil), a.parts...),
-		assigned: a.assigned,
-	}
-	if a.verts != nil {
-		c.verts = a.verts.Clone()
-	}
-	return c
-}
-
 // ---------------------------------------------------------------------------
-// Paged copy-on-write epochs: the lock-free read path
+// Stamped epochs: the lock-free read path
 // ---------------------------------------------------------------------------
 
-// PageBits sizes assignment pages at 2^PageBits = 1024 IDs (8 KiB), the
-// granularity of copy-on-write between published epochs: a batch that
-// places vertices into d pages costs d page copies at the next Publish,
-// while the other V/1024 pages are shared by reference with the previous
-// epoch. 1024 measured best on batch-256 ingest (placements cluster on a
-// few-thousand-index span per batch, so finer pages over-copy less than
-// 4096-ID pages while the page table stays small enough to re-copy per
-// publish: 8 KB per million vertices).
+// PageBits sizes the epoch mirror's pages at 2^PageBits = 1024 slots
+// (8 KiB). Pages are allocated as placements reach them and are never
+// copied or replaced, so the size only trades allocation granularity
+// against the length of the page table an epoch reslices.
 const PageBits = 10
 
-// PageSize is the number of assignments per page.
+// PageSize is the number of slots per page.
 const PageSize = 1 << PageBits
 
 // pageMask extracts the within-page offset from a dense index.
 const pageMask = PageSize - 1
 
-// page is one immutable block of assignments. Pages referenced by a
-// published Epoch are never written again; the writer replaces dirty pages
-// with fresh copies at the next Publish.
-type page [PageSize]ID
+// page is one block of stamped placement slots, shared by the tracker and
+// every epoch. A slot is 0 while its vertex is unassigned and
+// stamp(ordinal, p) once it is placed in p, where ordinal is the tracker's
+// assigned count just after that placement. Placements are write-once, so
+// each slot is stored once, atomically, by the single writer; an epoch
+// shows a slot only if its ordinal is within the epoch's assigned count.
+type page [PageSize]uint64
 
-// Epoch is an immutable, published view of an assignment: a page table over
-// copy-on-write assignment pages plus a point-in-time view of the vertex
-// table. Epochs are published by the single writer with an atomic store
-// (Tracker.Publish) and every method is safe from any number of goroutines
-// while streaming continues — reads are one atomic pointer load away from
-// the partitioner at all times, with no locks and no per-vertex copying.
+// stamp encodes a placement slot: ordinal ≥ 1 keeps it distinct from the
+// unassigned 0 even for partition 0.
+func stamp(ordinal int, p ID) uint64 { return uint64(ordinal)<<32 | uint64(uint32(p)) }
+
+// Epoch is an immutable view of an assignment at one publish: the shared
+// stamped pages, the assigned count that bounds which stamps it shows, the
+// sizes at publish and a point-in-time view of the vertex table. Every
+// method is safe from any number of goroutines while streaming continues —
+// later placements land on the shared pages with ordinals beyond the
+// epoch's bound, so a held epoch never changes.
 type Epoch struct {
-	k        int
-	seq      uint64
-	numVerts int // dense indices covered; everything beyond is Unassigned
-	assigned int
+	numVerts int     // dense indices covered; everything beyond is Unassigned
+	assigned int     // stamps with ordinal ≤ assigned are visible
 	sizes    []int   // per-partition vertex counts at publish (immutable)
-	pages    []*page // immutable page table; pages shared across epochs
+	pages    []*page // covers [0, numVerts); shared, written only by stamping
 	verts    intern.View
 }
 
-// K returns the number of partitions.
-func (e *Epoch) K() int { return e.k }
+// NewEpoch builds an epoch over fresh pages holding a's placements — the
+// read surface for an assignment computed offline, such as a refinement.
+// It captures a view of a's vertex table, so it must not race an Intern
+// into that table.
+func NewEpoch(a *Assignment) *Epoch {
+	n := len(a.parts)
+	e := &Epoch{
+		numVerts: n,
+		sizes:    append([]int(nil), a.Sizes...),
+		pages:    make([]*page, (n+PageSize-1)>>PageBits),
+		verts:    a.verts.View(),
+	}
+	for pi := range e.pages {
+		e.pages[pi] = new(page)
+	}
+	for i, p := range a.parts {
+		if p != Unassigned {
+			e.assigned++
+			e.pages[i>>PageBits][i&pageMask] = stamp(e.assigned, p)
+		}
+	}
+	return e
+}
 
-// Seq returns the publish sequence number, strictly increasing per tracker
-// (the first published epoch is 1).
-func (e *Epoch) Seq() uint64 { return e.seq }
+// K returns the number of partitions.
+func (e *Epoch) K() int { return len(e.sizes) }
 
 // NumAssigned returns the number of assigned vertices at publish.
 func (e *Epoch) NumAssigned() int { return e.assigned }
@@ -253,7 +257,17 @@ func (e *Epoch) OfIdx(i uint32) ID {
 	if int(i) >= e.numVerts {
 		return Unassigned
 	}
-	return e.pages[i>>PageBits][i&pageMask]
+	return e.visible(&e.pages[i>>PageBits][i&pageMask])
+}
+
+// visible reads one slot as this epoch shows it: the placement if it was
+// stamped at or before the publish, Unassigned otherwise.
+func (e *Epoch) visible(slot *uint64) ID {
+	s := atomic.LoadUint64(slot)
+	if s == 0 || s>>32 > uint64(e.assigned) {
+		return Unassigned
+	}
+	return ID(uint32(s))
 }
 
 // Of returns v's partition at publish time, or Unassigned: one concurrent
@@ -276,7 +290,7 @@ func (e *Epoch) Each(f func(v graph.VertexID, p ID)) {
 			lim = PageSize
 		}
 		for j := 0; j < lim; j++ {
-			if p := pg[j]; p != Unassigned {
+			if p := e.visible(&pg[j]); p != Unassigned {
 				f(graph.VertexID(e.verts.ID(uint32(base+j))), p)
 			}
 		}
@@ -284,21 +298,17 @@ func (e *Epoch) Each(f func(v graph.VertexID, p ID)) {
 }
 
 // Materialise flattens the epoch into an Assignment for offline consumers
-// (workload execution, metrics). The result shares the live vertex table —
-// safe for reads, since lookups tolerate a concurrent writer and Of bounds
-// dense indices to the materialised parts — and costs one O(V) copy, paid
-// by the reader with no lock held.
+// (workload execution, refinement, restreaming priors). The result shares
+// the live vertex table read-only — safe, since lookups tolerate a
+// concurrent writer and Of bounds dense indices to the materialised parts —
+// and costs one O(V) pass, paid by the reader with no lock held.
 func (e *Epoch) Materialise() *Assignment {
 	parts := make([]ID, e.numVerts)
-	for pi := range e.pages {
-		base := pi << PageBits
-		if base >= e.numVerts {
-			break
-		}
-		copy(parts[base:], e.pages[pi][:])
+	for i := range parts {
+		parts[i] = e.OfIdx(uint32(i))
 	}
 	return &Assignment{
-		K:        e.k,
+		K:        len(e.sizes),
 		Sizes:    append([]int(nil), e.sizes...),
 		verts:    e.verts.Table(),
 		parts:    parts,
@@ -314,9 +324,8 @@ func (e *Epoch) Materialise() *Assignment {
 //
 // The flat parts slice stays the authoritative representation on the
 // single-threaded placement path (neighbour scans index it directly); the
-// paged epoch mirror is rebuilt lazily from a dirty-page bitmap when the
-// writer calls Publish, so the per-assignment cost of the read path is one
-// bit set.
+// stamped page mirror that epochs share costs each placement one atomic
+// store, and Publish only builds an O(k) epoch header over it.
 type Tracker struct {
 	k        int
 	capacity float64 // C: per-partition vertex capacity
@@ -339,14 +348,11 @@ type Tracker struct {
 	// were O(deg) per eviction and quadratic on hub-heavy streams.
 	cnt []int32
 
-	// Copy-on-write publish state: pages mirrors parts page-by-page as of
-	// the last Publish; pageDirty marks pages whose flat contents have
-	// changed since. Published epochs hold references into former pages
-	// slices, never the mutable tail.
-	pages     []*page
-	pageDirty []bool
-	pubSeq    uint64
-	published atomic.Pointer[Epoch]
+	// pages mirrors parts as stamped slots (see page); epochs reslice it.
+	// last is the most recent epoch, which Publish returns again while
+	// nothing new has been placed. Both are writer-side only.
+	pages []*page
+	last  *Epoch
 
 	// onAssign, when non-nil, observes every streaming placement (see
 	// SetAssignHook). Invoked synchronously from AssignIdx.
@@ -586,21 +592,21 @@ func (t *Tracker) AssignIdx(i uint32, p ID) {
 	t.nbrs[i] = nil
 	t.sizes[p]++
 	t.assigned++
-	t.markDirty(i)
+	t.stampIdx(i, p)
 	if t.onAssign != nil {
 		t.onAssign(t.verts.ID(i), p)
 	}
 }
 
-// markDirty flags the page holding dense index i as changed since the last
-// Publish. One shift and one store on the placement hot path.
-func (t *Tracker) markDirty(i uint32) {
+// stampIdx writes dense index i's placement into the page mirror under the
+// current assigned count, allocating pages up to i's as needed. Epochs
+// published earlier hold a smaller count and keep reading i as unassigned.
+func (t *Tracker) stampIdx(i uint32, p ID) {
 	pi := int(i >> PageBits)
-	for len(t.pageDirty) <= pi {
-		t.pageDirty = append(t.pageDirty, false)
-		t.pages = append(t.pages, nil)
+	for len(t.pages) <= pi {
+		t.pages = append(t.pages, new(page))
 	}
-	t.pageDirty[pi] = true
+	atomic.StoreUint64(&t.pages[pi][i&pageMask], stamp(t.assigned, p))
 }
 
 // SetAssignHook registers fn to observe every streaming placement: it is
@@ -722,78 +728,34 @@ func (t *Tracker) Assignment() *Assignment {
 	}
 }
 
-// Snapshot returns a fully isolated copy of the current assignment: unlike
-// Assignment, the vertex table is deep-copied too, so the snapshot can be
-// read from any goroutine while streaming keeps growing the live table.
-// This is the O(V) deep-copy path; concurrent readers that only need a
-// consistent view use the copy-on-write epochs (Publish/Latest) instead.
-func (t *Tracker) Snapshot() *Assignment {
-	return &Assignment{
-		K:        t.k,
-		Sizes:    append([]int(nil), t.sizes...),
-		verts:    t.verts.Clone(),
-		parts:    append([]ID(nil), t.parts...),
-		assigned: t.assigned,
-	}
-}
-
-// Publish captures the current assignment as an immutable Epoch and makes
-// it the tracker's latest published view. Only pages dirtied since the last
-// Publish are copied out of the flat parts slice — clean pages are shared
-// by reference with earlier epochs — so a batch that placed vertices into d
-// pages costs d page copies plus one page-table copy, independent of V.
-// When nothing changed, the previous epoch is returned unchanged (held
-// snapshots stay valid either way: published pages are never mutated).
+// Publish captures the current assignment as an immutable Epoch in O(k):
+// one header holding the sizes, the assigned count and a reslice of the
+// shared page table — no page is copied, since placements already sit on
+// the pages, stamped with ordinals beyond any earlier epoch's count. When
+// nothing has been placed since the last Publish it returns that epoch
+// again: vertices interned since are Unassigned, which its index bound
+// already reports.
 //
 // Publish runs on the writer side (the caller's ingest lock is the natural
-// guard); Latest and every Epoch method are the concurrent read side.
+// guard); the returned Epoch may then be handed to any number of readers.
 func (t *Tracker) Publish() *Epoch {
+	if t.last != nil && t.last.assigned == t.assigned {
+		return t.last
+	}
 	n := len(t.parts)
 	npages := (n + PageSize - 1) >> PageBits
 	for len(t.pages) < npages {
-		t.pages = append(t.pages, nil)
-		t.pageDirty = append(t.pageDirty, false)
+		t.pages = append(t.pages, new(page))
 	}
-	changed := false
-	for pi := 0; pi < npages; pi++ {
-		if t.pages[pi] != nil && !t.pageDirty[pi] {
-			continue
-		}
-		pg := new(page)
-		base := pi << PageBits
-		m := copy(pg[:], t.parts[base:n])
-		for j := m; j < PageSize; j++ {
-			pg[j] = Unassigned
-		}
-		t.pages[pi] = pg
-		t.pageDirty[pi] = false
-		changed = true
-	}
-	if !changed {
-		// Nothing placed since the last epoch. Vertices interned or merely
-		// observed since then are Unassigned, which the previous epoch
-		// already reports via its index bound — reuse it.
-		if prev := t.published.Load(); prev != nil {
-			return prev
-		}
-	}
-	t.pubSeq++
-	e := &Epoch{
-		k:        t.k,
-		seq:      t.pubSeq,
+	t.last = &Epoch{
 		numVerts: n,
 		assigned: t.assigned,
 		sizes:    append([]int(nil), t.sizes...),
-		pages:    append([]*page(nil), t.pages[:npages]...),
+		pages:    t.pages[:npages],
 		verts:    t.verts.View(),
 	}
-	t.published.Store(e)
-	return e
+	return t.last
 }
-
-// Latest returns the most recently published epoch, or nil before the
-// first Publish. Safe from any goroutine: one atomic load.
-func (t *Tracker) Latest() *Epoch { return t.published.Load() }
 
 // AssignLDGIdx places the vertex at dense index i with the Linear
 // Deterministic Greedy rule (§4, quoting [30]): argmax over Si of

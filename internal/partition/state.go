@@ -4,10 +4,8 @@ import "fmt"
 
 // TrackerState is the checkpointable portion of a Tracker: the per-vertex
 // placements, the pending (unassigned-frontier) occurrence lists, and the
-// flat neighbour-partition count table. Sizes and the assigned count are
-// derived on restore; the copy-on-write publish state is deliberately
-// absent (a restored tracker's first Publish copies every page, exactly
-// like a fresh tracker's).
+// flat neighbour-partition count table. Sizes, the assigned count and the
+// stamped page mirror are derived on restore.
 //
 // Cnt must be carried explicitly: assigned vertices' occurrence lists are
 // freed once folded in (see ObserveIdx), so the counts are not derivable
@@ -40,10 +38,10 @@ func (t *Tracker) CaptureState() TrackerState {
 }
 
 // RestoreState loads a captured state into a freshly constructed tracker.
-// It bypasses AssignIdx entirely: the assign hook is not fired (recovery
-// replays events only for post-checkpoint work) and no page is marked
-// dirty (the page table is still empty, so the next Publish copies
-// everything it needs).
+// It bypasses AssignIdx, so the assign hook is not fired (recovery replays
+// events only for post-checkpoint work); restored placements are stamped
+// into the page mirror in dense-index order, so the next Publish shows
+// them all.
 func (t *Tracker) RestoreState(s TrackerState) error {
 	if t.assigned != 0 || t.observed != 0 || len(t.parts) != 0 {
 		return fmt.Errorf("partition: RestoreState on a non-fresh tracker (%d assigned, %d observed)",
@@ -75,6 +73,7 @@ func (t *Tracker) RestoreState(s TrackerState) error {
 		}
 		t.sizes[p]++
 		t.assigned++
+		t.stampIdx(uint32(i), p)
 	}
 	t.parts = parts
 	t.nbrs = nbrs

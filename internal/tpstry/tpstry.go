@@ -16,7 +16,9 @@
 // motif. Support is anti-monotone along trie edges (a sub-graph occurs at
 // least as often as its super-graphs), so motifs are downward closed: the
 // ancestors of a motif are motifs. The matcher exploits this to discard
-// non-motif edges immediately (§3).
+// non-motif edges immediately (§3). Strictly, a node is a signature class:
+// when non-isomorphic sub-graphs share a signature, a query containing one
+// of them credits the shared node, and a child can out-support a parent.
 package tpstry
 
 import (

@@ -116,9 +116,10 @@ type Options struct {
 	// ingest on the exact single-threaded path. Only Loom partitioners
 	// parallelise; baselines ignore the knob.
 	Workers int
-	// KeepGraph records every accepted edge so Evaluate can replay the
-	// workload over the final partitioning (default true; disable for
-	// large streams where only the assignment matters).
+	// DisableGraphRecording turns off recording every accepted edge, which
+	// Evaluate, Simulate and Refine replay over the final partitioning
+	// (recording is on by default; disable it for large streams where only
+	// the assignment matters).
 	DisableGraphRecording bool
 	// SpillDir, when non-empty, bounds the recorded graph's memory at
 	// very large scale by spilling frozen chunks of its compressed edge
@@ -324,24 +325,20 @@ type Stats struct {
 // Flush) serialises behind a single writer lock, so any number of producer
 // goroutines can feed one partitioner, and reads (PartitionOf, Sizes,
 // Snapshot, …) observe only batch-atomic states — never a half-applied
-// eviction. Reads do not take the lock at all on the common path: every
-// batch boundary publishes an immutable copy-on-write epoch of the
-// assignment through an atomic pointer, so PartitionOf and Snapshot run
-// lock-free against the last published epoch while producers keep
-// ingesting. The underlying streamers remain single-threaded; this type is
-// the concurrency boundary.
+// eviction. Reads take no lock: every ingest call (a per-edge AddEdge is a
+// one-edge batch) ends by publishing an immutable epoch of the assignment
+// through an atomic pointer, so PartitionOf, Sizes, Assignments and
+// Snapshot are one atomic load of the last epoch while producers keep
+// ingesting, and a goroutine always reads its own writes. The underlying
+// streamers remain single-threaded; this type is the concurrency boundary.
 type Partitioner struct {
 	name string
 	opt  Options
 
-	// view is the lock-free read surface: the latest published epoch (or
-	// the refined assignment), swapped atomically at every batch boundary
-	// with the write lock held. pending flags per-edge ingest (AddEdgeE)
-	// that has not been published yet: while set, readers fall back to the
-	// locked paths so they never miss their own writes. Both are read
-	// without the lock.
-	view    atomic.Pointer[readView]
-	pending atomic.Bool
+	// view is the lock-free read surface: the streamer's latest epoch, or
+	// the refined one once Refine has run. Every mutation stores it before
+	// releasing the write lock; readers load it without the lock.
+	view atomic.Pointer[partition.Epoch]
 
 	// mu guards every field below: ingest and other mutations take the
 	// write lock, reads the read lock. Placement-event handlers run while
@@ -360,7 +357,10 @@ type Partitioner struct {
 	g *graph.Graph
 	// refined, when non-nil, supersedes the streamer's assignment (set by
 	// Refine).
-	refined *partition.Assignment
+	refined *partition.Epoch
+	// one is AddEdgeE's one-edge batch, reused so that per-edge ingest does
+	// not allocate it.
+	one [1]StreamEdge
 
 	err      error // first ingest error (sticky; see Err)
 	seq      uint64
@@ -402,58 +402,18 @@ type addedQuery struct {
 	freq float64
 }
 
-// readView is one published read surface: exactly one of epoch (the
-// streamer's latest copy-on-write epoch) or refined (the immutable
-// assignment installed by Refine) is non-nil. Both are immutable, so a
-// single atomic load hands a reader a complete consistent view.
-type readView struct {
-	epoch   *partition.Epoch
-	refined *partition.Assignment
-}
-
-// publishLocked publishes the current assignment state to the lock-free
-// read surface; p.mu must be held for writing (every mutation path ends
-// here, making batch boundaries the epochs' consistent points). Returns nil
-// for streamers without a tracker (no shipped streamer lacks one).
-func (p *Partitioner) publishLocked() *readView {
-	var rv *readView
-	switch {
-	case p.refined != nil:
-		if prev := p.view.Load(); prev != nil && prev.refined == p.refined {
-			rv = prev
-		} else {
-			rv = &readView{refined: p.refined}
-			p.view.Store(rv)
-		}
-	case p.tr != nil:
-		e := p.tr.Publish()
-		if prev := p.view.Load(); prev != nil && prev.epoch == e {
-			rv = prev
-		} else {
-			rv = &readView{epoch: e}
-			p.view.Store(rv)
-		}
+// publishLocked stores the current assignment as the lock-free read
+// surface; p.mu must be held for writing. Every mutation path ends here,
+// making ingest-call boundaries the epochs' consistent points.
+func (p *Partitioner) publishLocked() {
+	e := p.refined
+	if e == nil {
+		e = p.tr.Publish()
 	}
-	// Clear only after the view store: a reader that observes
-	// pending == false is guaranteed to load a view at least as fresh as
-	// every write that preceded this publish.
-	p.pending.Store(false)
-	return rv
-}
-
-// loadView returns the published read surface when it is current — no
-// unpublished per-edge ingest — or nil, in which case the caller takes a
-// locked fallback path.
-func (p *Partitioner) loadView() *readView {
-	if p.pending.Load() {
-		return nil
+	if e != p.view.Load() { // an ingest call that placed nothing keeps the epoch
+		p.view.Store(e)
 	}
-	return p.view.Load()
 }
-
-// tracked is the capability the public layer uses for cheap placement
-// reads and event hooks; every shipped streamer exposes its tracker.
-type tracked interface{ Tracker() *partition.Tracker }
 
 func (o Options) normalise() (Options, error) {
 	if o.Partitions < 1 {
@@ -602,14 +562,11 @@ func NewBaseline(algo string, opt Options, wl *Workload) (*Partitioner, error) {
 		if m == 0 {
 			m = 2 * opt.ExpectedVertices
 		}
-		s = partition.NewFennel(opt.Partitions, opt.ExpectedVertices, m)
+		s = partition.NewFennelSlack(opt.Partitions, opt.ExpectedVertices, m, opt.MaxImbalance)
 	default:
 		return nil, fmt.Errorf("loom: unknown baseline %q (want hash, ldg or fennel)", algo)
 	}
-	p := &Partitioner{name: algo, streamer: s, wl: wl, opt: opt}
-	if tk, ok := s.(tracked); ok {
-		p.tr = tk.Tracker()
-	}
+	p := &Partitioner{name: algo, streamer: s, tr: s.Tracker(), wl: wl, opt: opt}
 	if p.g, err = newRecordedGraph(opt); err != nil {
 		return nil, err
 	}
@@ -641,7 +598,13 @@ func (p *Partitioner) Name() string { return p.name }
 func (p *Partitioner) AddBatch(batch []StreamEdge) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	defer p.publishLocked() // batch boundary: refresh the lock-free epoch
+	return p.addBatchLocked(batch)
+}
+
+// addBatchLocked is AddBatch under p.mu: log, apply, then publish the
+// batch boundary to the lock-free read surface.
+func (p *Partitioner) addBatchLocked(batch []StreamEdge) error {
+	defer p.publishLocked()
 	if err := p.walAppendBatch(batch); err != nil {
 		return err
 	}
@@ -654,7 +617,10 @@ func (p *Partitioner) AddBatch(batch []StreamEdge) error {
 // semantics; because those error paths are deterministic, replaying a
 // logged batch reproduces them exactly.
 func (p *Partitioner) applyBatchLocked(batch []StreamEdge) error {
-	if p.loom != nil && p.opt.Workers > 1 {
+	// Below MinParallelBatch the pipeline would run serially anyway; the
+	// direct loop also spares a short batch (a one-edge AddEdgeE) the
+	// pipeline's closures.
+	if p.loom != nil && p.opt.Workers > 1 && len(batch) >= core.MinParallelBatch {
 		return p.addBatchParallel(batch)
 	}
 	var firstErr error
@@ -731,42 +697,18 @@ func (p *Partitioner) addBatchParallel(batch []StreamEdge) error {
 	return firstErr
 }
 
-// AddEdgeE feeds one stream edge, returning an error instead of panicking
-// on corrupt input (a label conflict with an already-recorded vertex). The
+// AddEdgeE feeds one stream edge as a one-edge AddBatch: it is logged,
+// applied and published exactly like a batch, so a read issued after it
+// returns sees its placements. It returns an error instead of panicking on
+// corrupt input (a label conflict with an already-recorded vertex); the
 // edge is dropped on error and the error is also retained as the sticky
 // Err. Self-loops and duplicates are tolerated (dropped), matching the
 // robustness expected of an online ingest path. Safe for concurrent use.
 func (p *Partitioner) AddEdgeE(u int64, lu string, v int64, lv string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.wal != nil || p.walClosed || p.follower {
-		// Logged as (and replayed exactly like) a one-edge batch; PR 4's
-		// golden guarantee makes the two paths bit-identical.
-		one := [1]StreamEdge{{U: u, LU: lu, V: v, LV: lv}}
-		if err := p.walAppendBatch(one[:]); err != nil {
-			return err
-		}
-	}
-	se := graph.StreamEdge{
-		U: graph.VertexID(u), LU: graph.Label(lu),
-		V: graph.VertexID(v), LV: graph.Label(lv),
-	}
-	if p.g != nil {
-		if _, err := p.g.EnsureEdge(se.U, se.LU, se.V, se.LV); err != nil {
-			err = fmt.Errorf("loom: %w", err)
-			if p.err == nil {
-				p.err = err
-			}
-			return err
-		}
-	}
-	p.streamer.ProcessEdge(se)
-	// Per-edge ingest does not pay a publish per call (that would copy a
-	// dirty page per edge); it flags the read surface stale instead, and
-	// readers fall back to the locked path until the next batch boundary
-	// (AddBatch, Flush, or a Snapshot) publishes.
-	p.pending.Store(true)
-	return nil
+	p.one[0] = StreamEdge{U: u, LU: lu, V: v, LV: lv}
+	return p.addBatchLocked(p.one[:])
 }
 
 // AddEdge feeds one stream edge. It is the historical per-edge ingest
@@ -933,11 +875,9 @@ func (p *Partitioner) installEventHooksLocked() {
 		return
 	}
 	p.evHooked = true
-	if p.tr != nil {
-		p.tr.SetAssignHook(func(v int64, id partition.ID) {
-			p.emit(PlacementEvent{Kind: EventPlace, V: v, Partition: int(id)})
-		})
-	}
+	p.tr.SetAssignHook(func(v int64, id partition.ID) {
+		p.emit(PlacementEvent{Kind: EventPlace, V: v, Partition: int(id)})
+	})
 	if p.loom != nil {
 		p.loom.SetEvictHook(func(u, v int64) {
 			p.emit(PlacementEvent{Kind: EventEvict, V: u, Other: v, Partition: -1})
@@ -955,90 +895,47 @@ func (p *Partitioner) emit(ev PlacementEvent) {
 	}
 }
 
-// Snapshot is an immutable view of a partitioning at one consistent batch
-// boundary: it shares no mutable state with the partitioner, so it can be
-// read from any goroutine, for any length of time, without blocking — or
-// being invalidated by — ongoing ingest. Snapshots are backed by
-// copy-on-write assignment pages shared with the partitioner's published
-// epochs; holding one costs nothing beyond the pages that ingest has since
-// replaced.
+// Snapshot is an immutable view of a partitioning at one ingest-call
+// boundary: it can be read from any goroutine, for any length of time,
+// without blocking — or being invalidated by — ongoing ingest. A snapshot
+// wraps one published epoch, whose stamped pages it shares with the
+// partitioner: later placements land on those pages but stay invisible to
+// it, so holding one costs nothing.
 type Snapshot struct {
 	name string
-	e    *partition.Epoch      // epoch-backed (the common case)
-	a    *partition.Assignment // assignment-backed: refined, or the deep-copy fallback
+	e    *partition.Epoch
 
 	asgOnce sync.Once
 	asg     map[int64]int // memoised Assignments result
 }
 
-// newSnapshot wraps a published read view.
-func newSnapshot(name string, rv *readView) *Snapshot {
-	if rv.refined != nil {
-		return &Snapshot{name: name, a: rv.refined}
-	}
-	return &Snapshot{name: name, e: rv.epoch}
-}
-
 // Snapshot captures the current assignment (the refined one, if Refine has
-// run). The capture is O(1) — one atomic load of the last published epoch,
-// no lock, no per-vertex copying — so routers can snapshot at arbitrary
-// frequency while ingest continues. Because ingest applies batches
-// atomically and publishes at batch boundaries, a snapshot always
-// corresponds to a batch boundary — the state some single-threaded prefix
-// replay of the stream would produce. (After per-edge AddEdge ingest the
-// capture briefly takes the ingest lock to publish the unpublished tail;
-// batch ingest never pays this.)
+// run). The capture is one atomic load of the last published epoch — no
+// lock, no per-vertex copying — so routers can snapshot at arbitrary
+// frequency while ingest continues. Because ingest applies each call
+// atomically and publishes before returning, a snapshot always corresponds
+// to an ingest-call boundary — the state some single-threaded prefix
+// replay of the stream would produce — and it covers every call that
+// returned before it was taken.
 func (p *Partitioner) Snapshot() *Snapshot {
-	if rv := p.loadView(); rv != nil {
-		return newSnapshot(p.name, rv)
-	}
-	// Per-edge ingest left the published epoch stale: publish the tail.
-	p.mu.Lock()
-	rv := p.publishLocked()
-	p.mu.Unlock()
-	if rv != nil {
-		return newSnapshot(p.name, rv)
-	}
-	// No tracker (never the case for shipped streamers): isolated deep copy.
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return &Snapshot{name: p.name, a: p.snapshotLocked()}
-}
-
-// snapshotLocked returns an isolated assignment; p.mu must be held (read
-// or write). The refined assignment is immutable once installed (Refine
-// replaces it wholesale and its vertex table — a pre-refine snapshot clone
-// — never grows), so it is shared rather than copied; the live tracker's
-// state is cloned.
-func (p *Partitioner) snapshotLocked() *partition.Assignment {
-	if p.refined != nil {
-		return p.refined
-	}
-	return p.streamer.Snapshot()
+	return &Snapshot{name: p.name, e: p.view.Load()}
 }
 
 // Name returns the algorithm name that produced the snapshot.
 func (s *Snapshot) Name() string { return s.name }
 
 // Partitions returns k.
-func (s *Snapshot) Partitions() int {
-	if s.e != nil {
-		return s.e.K()
-	}
-	return s.a.K
-}
+func (s *Snapshot) Partitions() int { return s.e.K() }
 
 // PartitionOf returns v's partition in [0, Partitions), or ok = false if v
 // was unassigned when the snapshot was taken (not yet seen, or still
 // buffered in the window Ptemp). Point reads are lock-free and allocate
 // nothing.
-func (s *Snapshot) PartitionOf(v int64) (int, bool) {
-	var id partition.ID
-	if s.e != nil {
-		id = s.e.Of(graph.VertexID(v))
-	} else {
-		id = s.a.Of(graph.VertexID(v))
-	}
+func (s *Snapshot) PartitionOf(v int64) (int, bool) { return partitionOf(s.e, v) }
+
+// partitionOf is the point read both PartitionOf methods share.
+func partitionOf(e *partition.Epoch, v int64) (int, bool) {
+	id := e.Of(graph.VertexID(v))
 	if id == partition.Unassigned {
 		return 0, false
 	}
@@ -1049,20 +946,10 @@ func (s *Snapshot) PartitionOf(v int64) (int, bool) {
 // computed once when the snapshot's state was captured; the returned slice
 // is shared and immutable — callers must not modify it (copy first if you
 // need a mutable slice).
-func (s *Snapshot) Sizes() []int {
-	if s.e != nil {
-		return s.e.Sizes()
-	}
-	return s.a.Sizes
-}
+func (s *Snapshot) Sizes() []int { return s.e.Sizes() }
 
 // NumAssigned returns the number of placed vertices.
-func (s *Snapshot) NumAssigned() int {
-	if s.e != nil {
-		return s.e.NumAssigned()
-	}
-	return s.a.NumAssigned()
-}
+func (s *Snapshot) NumAssigned() int { return s.e.NumAssigned() }
 
 // Imbalance returns max |Vi|/(n/k) − 1 over the snapshot.
 func (s *Snapshot) Imbalance() float64 {
@@ -1073,11 +960,7 @@ func (s *Snapshot) Imbalance() float64 {
 // zero-alloc bulk read: it walks the snapshot's shared pages directly,
 // allocating nothing (unlike Assignments, which materialises a map).
 func (s *Snapshot) Each(f func(v int64, part int)) {
-	if s.e != nil {
-		s.e.Each(func(v graph.VertexID, id partition.ID) { f(int64(v), int(id)) })
-		return
-	}
-	s.a.Each(func(v graph.VertexID, id partition.ID) { f(int64(v), int(id)) })
+	s.e.Each(func(v graph.VertexID, id partition.ID) { f(int64(v), int(id)) })
 }
 
 // Assignments materialises the snapshot as a vertex → partition map. The
@@ -1099,86 +982,25 @@ func (s *Snapshot) Assignments() map[int64]int {
 // The read is lock-free: one atomic load of the last published epoch, a
 // concurrent hash probe and two array indexes — no mutex, no allocation —
 // so any number of reader goroutines can issue point reads at full speed
-// while producers ingest. It reflects the last batch boundary; only after
-// per-edge AddEdge ingest (which defers publishing) does it fall back to a
-// read-locked path so callers still see their own writes.
-func (p *Partitioner) PartitionOf(v int64) (int, bool) {
-	if rv := p.loadView(); rv != nil {
-		var id partition.ID
-		if rv.refined != nil {
-			id = rv.refined.Of(graph.VertexID(v))
-		} else {
-			id = rv.epoch.Of(graph.VertexID(v))
-		}
-		if id == partition.Unassigned {
-			return 0, false
-		}
-		return int(id), true
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var id partition.ID
-	switch {
-	case p.refined != nil:
-		id = p.refined.Of(graph.VertexID(v))
-	case p.tr != nil:
-		id = p.tr.PartOf(graph.VertexID(v))
-	default:
-		id = p.streamer.Assignment().Of(graph.VertexID(v))
-	}
-	if id == partition.Unassigned {
-		return 0, false
-	}
-	return int(id), true
-}
+// while producers ingest. It reflects every ingest call that has returned,
+// per-edge AddEdge included, so callers always see their own writes.
+func (p *Partitioner) PartitionOf(v int64) (int, bool) { return partitionOf(p.view.Load(), v) }
 
 // Partitions returns k.
 func (p *Partitioner) Partitions() int { return p.opt.Partitions }
 
 // Sizes returns the current vertex count of each partition as a fresh
 // copy, read atomically (a concurrent eviction's cluster assignment is
-// either fully included or not at all). Lock-free on the common path, like
-// PartitionOf.
-func (p *Partitioner) Sizes() []int {
-	if rv := p.loadView(); rv != nil {
-		if rv.refined != nil {
-			return append([]int(nil), rv.refined.Sizes...)
-		}
-		return append([]int(nil), rv.epoch.Sizes()...)
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	switch {
-	case p.refined != nil:
-		return append([]int(nil), p.refined.Sizes...)
-	case p.tr != nil:
-		return p.tr.Sizes()
-	default:
-		return append([]int(nil), p.streamer.Assignment().Sizes...)
-	}
-}
+// either fully included or not at all). Lock-free, like PartitionOf.
+func (p *Partitioner) Sizes() []int { return append([]int(nil), p.view.Load().Sizes()...) }
 
 // Assignments returns a copy of the full vertex → partition map, taken
 // from a consistent snapshot (it can never observe a half-applied batch or
-// eviction). The map is built from the last published epoch with no lock
-// held on the common path.
+// eviction) with no lock held.
 func (p *Partitioner) Assignments() map[int64]int {
-	if rv := p.loadView(); rv != nil {
-		// A fresh wrapper per call keeps the documented copy semantics
-		// (the memoised map is shared only within one Snapshot).
-		return newSnapshot(p.name, rv).Assignments()
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var a *partition.Assignment
-	if p.refined != nil {
-		a = p.refined
-	} else {
-		a = p.streamer.Assignment()
-	}
-	out := make(map[int64]int, a.NumAssigned())
-	a.Each(func(v graph.VertexID, id partition.ID) { out[int64(v)] = int(id) })
-	return out
+	// A fresh Snapshot per call keeps the documented copy semantics (the
+	// memoised map is shared only within one Snapshot).
+	return p.Snapshot().Assignments()
 }
 
 // Stats returns processing counters (Loom-specific fields are zero for
@@ -1259,14 +1081,12 @@ type Evaluation struct {
 // its replay window stays complete. Without a spill directory the log is
 // fully resident at ~2–4 bytes per accepted edge.
 func (p *Partitioner) Evaluate() (Evaluation, error) {
-	rec, e, a, iwl, err := p.captureEval("Evaluate")
+	rec, e, iwl, err := p.captureEval("Evaluate")
 	if err != nil {
 		return Evaluation{}, err
 	}
 	// No lock held from here: flatten the epoch and replay the graph.
-	if a == nil {
-		a = e.Materialise()
-	}
+	a := e.Materialise()
 	g := replayRecorded(rec)
 	res, err := workload.Execute(g, a, iwl, workload.Options{})
 	if err != nil {
@@ -1280,32 +1100,21 @@ func (p *Partitioner) Evaluate() (Evaluation, error) {
 	}, nil
 }
 
-// captureEval captures a consistent (accepted-edge replay, assignment)
-// pair for Evaluate/Simulate under the read lock, in O(1) on the common
-// path: the replay pins append-only headers and the edge log's immutable
-// chunk list, and the epoch/refined view is immutable. Exactly one of the
-// returned epoch and assignment is non-nil; after per-edge ingest, whose
-// tail is unpublished, it degrades to the isolated O(V) assignment
-// capture.
-func (p *Partitioner) captureEval(op string) (graph.Replay, *partition.Epoch, *partition.Assignment, workload.Workload, error) {
+// captureEval captures a consistent (accepted-edge replay, epoch) pair for
+// Evaluate/Simulate under the read lock, in O(1): the replay pins
+// append-only headers and the edge log's immutable chunk list, and the
+// published epoch is immutable. Every mutation publishes before releasing
+// the write lock, so under the read lock the two describe the same state.
+func (p *Partitioner) captureEval(op string) (graph.Replay, *partition.Epoch, workload.Workload, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.g == nil {
-		return graph.Replay{}, nil, nil, workload.Workload{}, fmt.Errorf("loom: graph recording disabled; %s unavailable", op)
+		return graph.Replay{}, nil, workload.Workload{}, fmt.Errorf("loom: graph recording disabled; %s unavailable", op)
 	}
 	if p.wl == nil || p.wl.Len() == 0 {
-		return graph.Replay{}, nil, nil, workload.Workload{}, fmt.Errorf("loom: no workload to %s against", op)
+		return graph.Replay{}, nil, workload.Workload{}, fmt.Errorf("loom: no workload to %s against", op)
 	}
-	rec := p.g.CaptureReplay()
-	var e *partition.Epoch
-	var a *partition.Assignment
-	if rv := p.loadView(); rv != nil { // under RLock: replay and view are mutually consistent
-		e, a = rv.epoch, rv.refined
-	}
-	if e == nil && a == nil {
-		a = p.snapshotLocked()
-	}
-	return rec, e, a, p.wl.internal(), nil
+	return p.g.CaptureReplay(), p.view.Load(), p.wl.internal(), nil
 }
 
 // replayRecorded rebuilds the recorded graph from the accepted-edge
@@ -1367,15 +1176,15 @@ func (p *Partitioner) Refine(maxPasses int) (RefineStats, error) {
 		}
 		trie = t
 	}
-	// Refinement runs on an isolated snapshot of the graph and the
-	// streamer's assignment, but it also reads the live trie — which a
-	// concurrent AddQuery may mutate — so the read lock is held for the
-	// whole pass: concurrent reads proceed, ingest mutations wait (Refine
-	// is a post-Flush operation; there should be none). The result is
-	// swapped in atomically below.
+	// Refinement runs on a clone of the graph and a materialised copy of
+	// the published assignment (sharing the vertex table read-only), but it
+	// also reads the live trie — which a concurrent AddQuery may mutate —
+	// so the read lock is held for the whole pass: concurrent reads
+	// proceed, ingest mutations wait (Refine is a post-Flush operation;
+	// there should be none). The result is swapped in atomically below.
 	g := p.g.Clone()
-	a := p.streamer.Snapshot()
-	obs := p.observedLocked()
+	a := p.view.Load().Materialise()
+	obs := p.tr.ObservedEdges()
 	opt := p.opt
 	refined, st, err := refine.Refine(g, a, trie, refine.Config{
 		Capacity:  partition.CapacityFor(opt.ExpectedVertices, opt.Partitions, opt.MaxImbalance),
@@ -1393,23 +1202,14 @@ func (p *Partitioner) Refine(maxPasses int) (RefineStats, error) {
 	// place — the refined assignment would silently hide them (p.refined
 	// supersedes the streamer), so refuse instead: the caller re-runs once
 	// ingest has actually quiesced.
-	if cur := p.observedLocked(); cur != obs {
+	// The observed-edge count advances on every non-degenerate ingest,
+	// including edges only buffered in the window.
+	if cur := p.tr.ObservedEdges(); cur != obs {
 		return RefineStats{}, fmt.Errorf("loom: %d edges were ingested while Refine ran; re-run after ingest quiesces", cur-obs)
 	}
-	p.refined = refined
+	p.refined = partition.NewEpoch(refined)
 	p.publishLocked() // swap the lock-free read surface to the refined view
 	return RefineStats{Passes: st.Passes, Moves: st.Moves, CutBefore: st.CutBefore, CutAfter: st.CutAfter}, nil
-}
-
-// observedLocked returns the streamer's observed-edge count — which
-// advances on every non-degenerate ingest, including edges only buffered
-// in the window — falling back to the assigned-vertex count for streamers
-// without a tracker; p.mu must be held.
-func (p *Partitioner) observedLocked() int {
-	if p.tr != nil {
-		return p.tr.ObservedEdges()
-	}
-	return p.streamer.Assignment().NumAssigned()
 }
 
 // Restream returns a fresh Loom partitioner that uses this partitioner's
@@ -1427,9 +1227,9 @@ func (p *Partitioner) Restream() (*Partitioner, error) {
 	opt := p.opt
 	wl := p.wl
 	iwl := wl.internal()
-	// The prior is an isolated snapshot, so the returned partitioner never
-	// races this one's still-growing vertex table.
-	prior := p.snapshotLocked()
+	// The prior shares this partitioner's vertex table read-only; its
+	// lookups tolerate this partitioner interning concurrently.
+	prior := p.view.Load().Materialise()
 	p.mu.RUnlock()
 	scheme := signature.NewScheme(opt.SignaturePrime, opt.Seed)
 	trie, err := iwl.BuildTrie(scheme)
@@ -1461,6 +1261,7 @@ func (p *Partitioner) Restream() (*Partitioner, error) {
 	if np.g, err = newRecordedGraph(memOpt); err != nil {
 		return nil, err
 	}
+	np.publishLocked() // seed the lock-free read surface (no sharing yet)
 	return np, nil
 }
 
@@ -1487,13 +1288,11 @@ type Simulation struct {
 func (p *Partitioner) Simulate(localCost, remoteCost float64) (Simulation, error) {
 	// Like Evaluate: O(1) capture under the read lock, replay and simulate
 	// with no lock held.
-	rec, e, a, iwl, err := p.captureEval("Simulate")
+	rec, e, iwl, err := p.captureEval("Simulate")
 	if err != nil {
 		return Simulation{}, err
 	}
-	if a == nil {
-		a = e.Materialise()
-	}
+	a := e.Materialise()
 	g := replayRecorded(rec)
 	res, err := simulate.Run(g, a, iwl,
 		simulate.CostModel{LocalCost: localCost, RemoteCost: remoteCost}, 0)

@@ -1,8 +1,11 @@
 package loom_test
 
 import (
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"loom"
@@ -397,6 +400,179 @@ func TestReadersUnderIngest(t *testing.T) {
 	}
 	if len(final) != n {
 		t.Fatalf("final assignment has %d of %d vertices", len(final), n)
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine 18 [running]:"). Placement events are delivered on the
+// ingesting goroutine, so a handler can tell whose call reported them.
+func goid() uint64 {
+	var buf [64]byte
+	s := strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine ")
+	id, err := strconv.ParseUint(s[:strings.IndexByte(s, ' ')], 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// TestOneReadPathUnderIngest: a per-edge producer (AddEdgeE) and a batch
+// producer (AddBatch) ingest while readers hammer PartitionOf and Snapshot,
+// all served by the one lock-free read path. Once AddEdgeE returns, the
+// same goroutine's PartitionOf shows every placement its call reported to
+// the subscriber; every snapshot agrees with itself (NumAssigned = Each
+// visits = Σ Sizes); and after Refine, PartitionOf, Snapshot, Sizes,
+// Assignments and Evaluate all read the refined assignment. TestReaders-
+// UnderIngest keeps the whole-batch-prefix check, which needs a single
+// batch producer. Run under -race in CI.
+func TestOneReadPathUnderIngest(t *testing.T) {
+	wl := concurrencyWorkload(t)
+	edges := concurrencyStream(t, 1500)
+	n := distinctVertices(edges)
+	p, err := loom.New(loom.Options{Partitions: 4, ExpectedVertices: n, WindowSize: 64}, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// own collects the placements reported during the per-edge producer's
+	// calls; the handler runs on the ingesting goroutine, so only that
+	// producer's goroutine ever touches it.
+	var edgeG atomic.Uint64
+	var own []loom.PlacementEvent
+	p.Subscribe(func(ev loom.PlacementEvent) {
+		if ev.Kind == loom.EventPlace && goid() == edgeG.Load() {
+			own = append(own, ev)
+		}
+	})
+
+	var producers sync.WaitGroup
+	producers.Add(2)
+	checked := 0
+	go func() { // per-edge producer: even stream positions
+		defer producers.Done()
+		edgeG.Store(goid())
+		for i := 0; i < len(edges); i += 2 {
+			e := edges[i]
+			if err := p.AddEdgeE(e.U, e.LU, e.V, e.LV); err != nil {
+				t.Errorf("AddEdgeE: %v", err)
+				return
+			}
+			for _, ev := range own {
+				if part, ok := p.PartitionOf(ev.V); !ok || part != ev.Partition {
+					t.Errorf("after AddEdgeE returned, PartitionOf(%d) = %d, %v; its event placed it in %d",
+						ev.V, part, ok, ev.Partition)
+					return
+				}
+			}
+			checked += len(own)
+			own = own[:0]
+		}
+	}()
+	go func() { // batch producer: odd stream positions
+		defer producers.Done()
+		var mine []loom.StreamEdge
+		for i := 1; i < len(edges); i += 2 {
+			mine = append(mine, edges[i])
+		}
+		for _, b := range chunk(mine, 37) {
+			if err := p.AddBatch(b); err != nil {
+				t.Errorf("AddBatch: %v", err)
+				return
+			}
+		}
+	}()
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	snaps := make([]int, 2)
+	for r := range snaps {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				p.PartitionOf(edges[i%len(edges)].V)
+				snap := p.Snapshot()
+				visits, total := 0, 0
+				snap.Each(func(int64, int) { visits++ })
+				for _, s := range snap.Sizes() {
+					total += s
+				}
+				if visits != snap.NumAssigned() || total != snap.NumAssigned() {
+					t.Errorf("snapshot: NumAssigned %d, Each visits %d, Σ Sizes %d",
+						snap.NumAssigned(), visits, total)
+					return
+				}
+				snaps[r]++
+			}
+		}()
+	}
+	producers.Wait()
+	close(done)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+	if checked == 0 || snaps[0]+snaps[1] == 0 {
+		t.Fatalf("degenerate run: %d own placements checked, %v snapshots", checked, snaps)
+	}
+	p.Flush()
+	if err := p.Err(); err != nil {
+		t.Fatalf("ingest error: %v", err)
+	}
+
+	before := p.Assignments()
+	st, err := p.Refine(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+	after := snap.Assignments()
+	moved := 0
+	for v, part := range after {
+		if part != before[v] {
+			moved++
+		}
+		if got, ok := p.PartitionOf(v); !ok || got != part {
+			t.Fatalf("after Refine: PartitionOf(%d) = %d, %v; snapshot says %d", v, got, ok, part)
+		}
+	}
+	if st.Moves == 0 || moved == 0 || len(after) != len(before) {
+		t.Fatalf("Refine moved %d (reported %d) of %d vertices, want a visible change", moved, st.Moves, len(after))
+	}
+	if got := p.Assignments(); len(got) != len(after) {
+		t.Fatalf("Assignments has %d vertices, snapshot %d", len(got), len(after))
+	}
+	for i, s := range p.Sizes() {
+		if s != snap.Sizes()[i] {
+			t.Fatalf("Sizes %v, snapshot %v", p.Sizes(), snap.Sizes())
+		}
+	}
+	// Evaluate's edge cut must be the refined assignment's, recounted here
+	// over the distinct non-loop stream edges.
+	type key struct{ u, v int64 }
+	cut, seen := 0, map[key]bool{}
+	for _, e := range edges {
+		k := key{min(e.U, e.V), max(e.U, e.V)}
+		if e.U == e.V || seen[k] {
+			continue
+		}
+		seen[k] = true
+		if after[e.U] != after[e.V] {
+			cut++
+		}
+	}
+	ev, err := p.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.EdgeCut != cut || ev.AssignedVertices != len(after) || ev.Imbalance != snap.Imbalance() {
+		t.Fatalf("Evaluate: cut %d, %d assigned, imbalance %v; refined snapshot: cut %d, %d assigned, imbalance %v",
+			ev.EdgeCut, ev.AssignedVertices, ev.Imbalance, cut, len(after), snap.Imbalance())
 	}
 }
 

@@ -87,6 +87,28 @@ func TestNewBaselineValidAlgos(t *testing.T) {
 	}
 }
 
+// TestFennelHonoursMaxImbalance: the fennel baseline sizes its capacity
+// ν·n/k from Options.MaxImbalance, so a tight ν bounds the final imbalance
+// on a stream that fills partitions to the cap.
+func TestFennelHonoursMaxImbalance(t *testing.T) {
+	edges := concurrencyStream(t, 3000)
+	n := distinctVertices(edges)
+	p, err := loom.NewBaseline("fennel", loom.Options{Partitions: 8, ExpectedVertices: n, MaxImbalance: 1.02}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddBatch(edges); err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+	if snap.NumAssigned() != n {
+		t.Fatalf("assigned %d of %d vertices", snap.NumAssigned(), n)
+	}
+	if imb := snap.Imbalance(); imb > 0.02+1e-9 {
+		t.Errorf("fennel imbalance %.4f at MaxImbalance 1.02, want <= 0.02", imb)
+	}
+}
+
 func TestNewRequiresWorkload(t *testing.T) {
 	opt := loom.Options{Partitions: 2, ExpectedVertices: 10}
 	if _, err := loom.New(opt, nil); err == nil {
