@@ -447,6 +447,28 @@ func (g *Graph) Vertices() []VertexID {
 	return out
 }
 
+// Dense index reads: vertices are numbered 0..NumVertices()-1 in
+// first-seen order, and these accessors let whole-graph passes walk that
+// space without an external-ID lookup per step.
+
+// IDs returns the external vertex IDs indexed by dense index. The slice is
+// owned by the graph and must not be modified.
+func (g *Graph) IDs() []int64 { return g.verts.IDs() }
+
+// LabelCode returns the label code of dense vertex i.
+func (g *Graph) LabelCode(i uint32) uint16 { return g.vlabel[i] }
+
+// LabelCodeOf returns the code of label l, or false when no vertex
+// carries it.
+func (g *Graph) LabelCodeOf(l Label) (uint16, bool) { return g.ltab.Lookup(string(l)) }
+
+// AppendNeighborIdx appends the dense indices of dense vertex i's
+// neighbours (out-neighbours for directed graphs) to buf in insertion
+// order and returns the extended slice.
+func (g *Graph) AppendNeighborIdx(i uint32, buf []uint32) []uint32 {
+	return g.adj[i].appendTo(buf)
+}
+
 // EachEdge invokes fn for every edge in insertion order (normalised for
 // undirected graphs, stream orientation for directed ones), replaying the
 // edge log one chunk at a time — including chunks spilled to disk. fn

@@ -171,3 +171,42 @@ func TestLargeRandomGraphOrderingsTerminate(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseReadsAgreeWithIDReads checks the dense-index accessors against
+// the external-ID ones on a graph large enough to compress adjacency
+// blocks.
+func TestDenseReadsAgreeWithIDReads(t *testing.T) {
+	g := New()
+	r := rand.New(rand.NewSource(3))
+	labels := []Label{"a", "b", "c"}
+	for i := 0; i < 400; i++ {
+		u, v := VertexID(r.Intn(10)*11), VertexID(r.Intn(200)*11)
+		if _, err := g.EnsureEdge(u, labels[int(u)%3], v, labels[int(v)%3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := g.LabelCodeOf("z"); ok {
+		t.Error("LabelCodeOf(unused label) reports a code")
+	}
+	ids := g.IDs()
+	if len(ids) != g.NumVertices() {
+		t.Fatalf("IDs has %d entries, want %d", len(ids), g.NumVertices())
+	}
+	var nbrIdx []uint32
+	for i, id := range ids {
+		v := VertexID(id)
+		if code, ok := g.LabelCodeOf(g.MustLabel(v)); !ok || code != g.LabelCode(uint32(i)) {
+			t.Errorf("vertex %d: LabelCode %d, LabelCodeOf(%q) = %d, %v", v, g.LabelCode(uint32(i)), g.MustLabel(v), code, ok)
+		}
+		nbrIdx = g.AppendNeighborIdx(uint32(i), nbrIdx[:0])
+		want := g.Neighbors(v, nil)
+		if len(nbrIdx) != len(want) {
+			t.Fatalf("vertex %d: %d dense neighbours, want %d", v, len(nbrIdx), len(want))
+		}
+		for j, n := range nbrIdx {
+			if VertexID(ids[n]) != want[j] {
+				t.Errorf("vertex %d: neighbour %d is %d, want %d", v, j, ids[n], want[j])
+			}
+		}
+	}
+}

@@ -797,13 +797,18 @@ func (t *Tracker) AssignLDG(v graph.VertexID) ID {
 // of partition quality", §1.3). Unassigned vertices are treated as living
 // together in the window partition Ptemp (§3): an edge between two
 // unassigned vertices is not cut, an edge from an assigned vertex into
-// Ptemp is.
+// Ptemp is. It streams the edge log without copying it and, like
+// Graph.Edges, panics if a spilled log chunk cannot be read back.
 func EdgeCut(g *graph.Graph, a *Assignment) int {
 	cut := 0
-	for _, e := range g.Edges() {
+	err := g.EachEdge(func(e graph.Edge) error {
 		if a.Of(e.U) != a.Of(e.V) {
 			cut++
 		}
+		return nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("partition: edge log replay: %v", err))
 	}
 	return cut
 }

@@ -19,6 +19,9 @@ const (
 	// different partitions, weighted by query frequency. This is the
 	// implementation-independent reading of §5's ipt: each cut edge of a
 	// result must be traversed across machines to assemble the match.
+	// Unassigned vertices (partition.Unassigned, -1) compare unequal to
+	// every real partition and equal to each other, so an edge into the
+	// window partition Ptemp (§3) crosses and an edge inside it does not.
 	EmbeddingCrossings CostModel = iota
 	// TraversalCrossings instruments the matcher's actual exploration:
 	// every adjacency step it takes from vertex u to v with different
@@ -36,23 +39,23 @@ type Options struct {
 	// of 2_000_000. The cap is deterministic for a given graph, so all
 	// partitioners are scored on the same match set.
 	MaxMatchesPerQuery int
-	// CountWindowAsPartition treats unassigned vertices as one extra
-	// partition Ptemp (§3) rather than excluding them. Default true
-	// behaviour is implicit: partition.Assignment.Of returns Unassigned
-	// (-1) which simply compares unequal to any real partition.
 }
 
 // QueryStats reports one query's execution over a partitioning.
 type QueryStats struct {
 	Name string
-	// Matches is the number of distinct matched sub-graphs enumerated.
+	// Matches is the number of distinct matched sub-graphs, counted in
+	// closed form for labelled paths of 2 or 3 edges under
+	// EmbeddingCrossings and enumerated for every other query.
 	Matches int
 	// Crossings is the raw count of inter-partition edges across those
 	// matches (or traversal crossings under TraversalCrossings).
 	Crossings int
 	// WeightedIPT is Crossings × Freq.
 	WeightedIPT float64
-	// Capped is set when enumeration hit MaxMatchesPerQuery.
+	// Capped is set when enumeration hit MaxMatchesPerQuery. A query
+	// whose counted matches reach the cap is enumerated instead, so the
+	// capped match set is the same either way.
 	Capped bool
 }
 
@@ -71,6 +74,11 @@ type Result struct {
 // The same (g, w, options) triple scores different assignments on an
 // identical match set, which is what makes the relative comparisons of
 // Figs. 7–9 meaningful.
+//
+// Under EmbeddingCrossings on an undirected graph, a query that is a
+// labelled path of 2 or 3 edges is scored in closed form (count.go) when
+// it has fewer matches than the cap; every other query is enumerated.
+// Both give the same Matches and Crossings.
 func Execute(g *graph.Graph, a *partition.Assignment, w Workload, opt Options) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
@@ -80,6 +88,7 @@ func Execute(g *graph.Graph, a *partition.Assignment, w Workload, opt Options) (
 		cap = 2_000_000
 	}
 	res := Result{Workload: w.Name}
+	var pc *pathCounter // built for the first path query
 	for _, q := range w.Queries {
 		qs := QueryStats{Name: q.Name}
 		m, err := pattern.NewMatcher(q.Pattern)
@@ -88,8 +97,17 @@ func Execute(g *graph.Graph, a *partition.Assignment, w Workload, opt Options) (
 		}
 		switch opt.Model {
 		case EmbeddingCrossings:
-			if err := countEmbeddingCrossings(g, a, q, m, cap, &qs); err != nil {
-				return Result{}, err
+			counted := false
+			if labels := pathLabels(q.Pattern); labels != nil && !g.Directed() {
+				if pc == nil {
+					pc = newPathCounter(g, a)
+				}
+				if n, x := pc.count(labels); n < cap {
+					qs.Matches, qs.Crossings, counted = n, x, true
+				}
+			}
+			if !counted {
+				countEmbeddingCrossings(g, a, q, m, cap, &qs)
 			}
 		case TraversalCrossings:
 			countTraversalCrossings(g, a, q, m, cap, &qs)
@@ -106,7 +124,9 @@ func Execute(g *graph.Graph, a *partition.Assignment, w Workload, opt Options) (
 
 // countEmbeddingCrossings enumerates distinct matched sub-graphs
 // (deduplicated across pattern automorphisms) and counts their cut edges.
-func countEmbeddingCrossings(g *graph.Graph, a *partition.Assignment, q Query, m *pattern.Matcher, cap int, qs *QueryStats) error {
+// It is the fallback for queries the path counter does not cover and the
+// oracle the counter is tested against.
+func countEmbeddingCrossings(g *graph.Graph, a *partition.Assignment, q Query, m *pattern.Matcher, cap int, qs *QueryStats) {
 	seen := make(map[string]struct{})
 	qEdges := q.Pattern.Edges()
 	buf := make([]graph.Edge, len(qEdges))
@@ -137,7 +157,6 @@ func countEmbeddingCrossings(g *graph.Graph, a *partition.Assignment, q Query, m
 		}
 		return true
 	})
-	return nil
 }
 
 // countTraversalCrossings instruments the matcher's adjacency walks.

@@ -3,6 +3,13 @@
 // partitioned graphs, counting the inter-partition traversals (ipt) that
 // define partitioning quality throughout the paper's evaluation.
 //
+// Execution takes one of two paths per query. A labelled path of 2 or 3
+// edges is scored in closed form from label-filtered neighbour counts
+// (count.go); every other shape, the traversal cost model, directed
+// graphs and a path with as many matches as the cap go through the
+// pattern enumerator, which deduplicates every embedding into a distinct
+// match. Both paths report the same matches and crossings.
+//
 // The workloads follow Fig. 6 and §5.1.2: for LUBM, patterns modelled on the
 // benchmark's provided queries; for every other dataset, "a small set of
 // common-sense queries which focus on discovering implicit relationships in

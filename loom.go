@@ -1069,9 +1069,12 @@ type Evaluation struct {
 //
 // Evaluate runs on a snapshot captured in O(1) under the read lock — the
 // last published epoch plus the accepted-edge log's current length —
-// after which the graph replay and the workload execution (typically far
-// more expensive) run with no lock held, so concurrent AddBatch never
-// stalls behind an in-flight evaluation.
+// after which the graph replay and the workload execution run with no
+// lock held, so concurrent AddBatch never stalls behind an in-flight
+// evaluation. The replay dominates the cost when every query is a
+// labelled path of 2 or 3 edges, whose matches are counted rather than
+// enumerated; a workload with other shapes (triangles, wider stars)
+// pays for enumerating their matches on top.
 //
 // Replay window: the replayed graph is every accepted edge since the
 // partitioner started (or was recovered) — checkpoints bound the log's
