@@ -94,7 +94,9 @@ var ErrWALConfig = errors.New("loom: checkpoint does not match Options/workload"
 // directory is damaged beyond the degradations recovery tolerates on its
 // own (torn tails, corrupt newest checkpoints).
 var (
-	// ErrWALCorrupt: structural damage that is not a recoverable torn tail.
+	// ErrWALCorrupt: structural damage that is not a recoverable torn
+	// tail — a bad header or record in any segment but the final one, or
+	// overlapping segments. DamagedSegment names the segment.
 	ErrWALCorrupt = wal.ErrCorrupt
 	// ErrWALGap: a log segment between the checkpoint and the tail is
 	// missing, so no consistent state can be rebuilt.
@@ -133,28 +135,31 @@ type RecoveryInfo struct {
 // log tail replayed, reconstructing the pre-crash state bit-identically —
 // same placements, sizes, stats and event sequence — regardless of how
 // the previous process died (see RecoveryInfo for what recovery
-// tolerated). wl must be the same base workload the directory was created
-// with; queries added later via AddQuery are recovered from the log and
-// checkpoint, not from wl.
+// tolerated). Damage a crash cannot explain is never repaired by
+// discarding intact segments: it fails with ErrWALCorrupt. wl must be
+// the same base workload the directory was created with; queries added
+// later via AddQuery are recovered from the log and checkpoint, not from
+// wl.
 //
 // The returned partitioner logs every ingest call before applying it, so
 // its in-memory state never runs ahead of what a future Open can
 // reproduce. Call Checkpoint periodically to bound replay time and let
 // old log segments be pruned, and Close on shutdown.
 func Open(opt Options, wl *Workload) (*Partitioner, RecoveryInfo, error) {
-	return openFS(wal.OS(), opt, wl)
+	return OpenFS(wal.OS(), opt, wl)
 }
 
-// openFS is Open over an injectable filesystem (the fault-injection tests
-// recover from deterministic in-memory crash states).
-func openFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo, error) {
-	var info RecoveryInfo
+// OpenFS is Open over an injectable write-ahead-log filesystem. The FS
+// interface lives in an internal package, so only this module's fault
+// tests and chaos harness (loom-bench -exp chaos) can construct one;
+// external callers use Open, which runs on the real filesystem.
+func OpenFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo, error) {
 	nopt, err := opt.normalise()
 	if err != nil {
-		return nil, info, err
+		return nil, RecoveryInfo{}, err
 	}
 	if nopt.WALDir == "" {
-		return nil, info, fmt.Errorf("loom: Open requires Options.WALDir (use New for a non-durable partitioner)")
+		return nil, RecoveryInfo{}, fmt.Errorf("loom: Open requires Options.WALDir (use New for a non-durable partitioner)")
 	}
 	wlog, recd, err := wal.Open(fsys, wal.Options{
 		Dir:             nopt.WALDir,
@@ -165,14 +170,28 @@ func openFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo,
 		RetryBackoff:    nopt.WALRetryBackoff,
 	})
 	if err != nil {
-		return nil, info, err
+		return nil, RecoveryInfo{}, err
 	}
-	p, err := newLoom(nopt, wl)
+	p, info, err := bootstrap(nopt, wl, recd)
 	if err != nil {
 		wlog.Close()
 		return nil, info, err
 	}
-	info = RecoveryInfo{
+	p.wal = wlog
+	return p, info, nil
+}
+
+// bootstrap is recovery's one code path, shared by Open and Follow: a
+// fresh partitioner, the recovered checkpoint restored, the log tail
+// replayed through the same locked halves live ingest uses, and one read
+// epoch published. The partitioner is unshared until it is returned, so
+// no lock is taken. The callers differ only in what they attach after.
+func bootstrap(opt Options, wl *Workload, recd *wal.Recovered) (*Partitioner, RecoveryInfo, error) {
+	p, err := newLoom(opt, wl)
+	if err != nil {
+		return nil, RecoveryInfo{}, err
+	}
+	info := RecoveryInfo{
 		Recovered:          recd.HaveCheckpoint || len(recd.Records) > 0,
 		CheckpointLSN:      recd.CheckpointLSN,
 		ReplayedRecords:    len(recd.Records),
@@ -181,21 +200,17 @@ func openFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo,
 		CheckpointFallback: recd.CheckpointFallback,
 		Warnings:           recd.Warnings,
 	}
-	// No lock needed yet — the partitioner is unshared until we return.
 	if recd.HaveCheckpoint {
 		if err := p.restoreCheckpoint(recd.Checkpoint); err != nil {
-			wlog.Close()
 			return nil, info, err
 		}
 	}
 	for i, rec := range recd.Records {
 		if err := p.applyRecordLocked(rec); err != nil {
-			wlog.Close()
 			return nil, info, fmt.Errorf("loom: replay record %d (LSN %d): %w", i, recd.CheckpointLSN+uint64(i)+1, err)
 		}
 	}
 	p.publishLocked()
-	p.wal = wlog
 	return p, info, nil
 }
 
@@ -210,19 +225,6 @@ func (o Options) walRetries() int {
 	default:
 		return o.WALAppendRetries
 	}
-}
-
-// OpenFS is Open over an injectable write-ahead-log filesystem. The FS
-// interface lives in an internal package, so only this module's fault
-// tests and chaos harness (loom-bench -exp chaos) can construct one;
-// external callers use Open, which runs on the real filesystem.
-func OpenFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo, error) {
-	return openFS(fsys, opt, wl)
-}
-
-// FollowFS is Follow over an injectable filesystem; see OpenFS.
-func FollowFS(fsys wal.FS, opt Options, wl *Workload) (*Follower, RecoveryInfo, error) {
-	return followFS(fsys, opt, wl)
 }
 
 // DamagedSegment reports the WAL segment file an error from Follow,
@@ -271,48 +273,27 @@ type Follower struct {
 // torn final record — the follower picks it up on a later Poll if the
 // primary completes it).
 func Follow(opt Options, wl *Workload) (*Follower, RecoveryInfo, error) {
-	return followFS(wal.OS(), opt, wl)
+	return FollowFS(wal.OS(), opt, wl)
 }
 
-// followFS is Follow over an injectable filesystem.
-func followFS(fsys wal.FS, opt Options, wl *Workload) (*Follower, RecoveryInfo, error) {
-	var info RecoveryInfo
+// FollowFS is Follow over an injectable filesystem; see OpenFS.
+func FollowFS(fsys wal.FS, opt Options, wl *Workload) (*Follower, RecoveryInfo, error) {
 	nopt, err := opt.normalise()
 	if err != nil {
-		return nil, info, err
+		return nil, RecoveryInfo{}, err
 	}
 	if nopt.WALDir == "" {
-		return nil, info, fmt.Errorf("loom: Follow requires Options.WALDir (the primary's log directory)")
+		return nil, RecoveryInfo{}, fmt.Errorf("loom: Follow requires Options.WALDir (the primary's log directory)")
 	}
 	tail, recd, err := wal.OpenTailer(fsys, nopt.WALDir)
 	if err != nil {
-		return nil, info, err
+		return nil, RecoveryInfo{}, err
 	}
-	p, err := newLoom(nopt, wl)
+	p, info, err := bootstrap(nopt, wl, recd)
 	if err != nil {
 		return nil, info, err
 	}
-	info = RecoveryInfo{
-		Recovered:          recd.HaveCheckpoint || len(recd.Records) > 0,
-		CheckpointLSN:      recd.CheckpointLSN,
-		ReplayedRecords:    len(recd.Records),
-		LastLSN:            recd.LastLSN,
-		TornTail:           recd.TornTail,
-		CheckpointFallback: recd.CheckpointFallback,
-		Warnings:           recd.Warnings,
-	}
-	if recd.HaveCheckpoint {
-		if err := p.restoreCheckpoint(recd.Checkpoint); err != nil {
-			return nil, info, err
-		}
-	}
-	for i, rec := range recd.Records {
-		if err := p.applyRecordLocked(rec); err != nil {
-			return nil, info, fmt.Errorf("loom: replay record %d (LSN %d): %w", i, recd.CheckpointLSN+uint64(i)+1, err)
-		}
-	}
 	p.follower = true
-	p.publishLocked()
 	return &Follower{p: p, tail: tail}, info, nil
 }
 

@@ -9,8 +9,7 @@ import "fmt"
 //
 // Cnt must be carried explicitly: assigned vertices' occurrence lists are
 // freed once folded in (see ObserveIdx), so the counts are not derivable
-// from Nbrs. A nil Cnt (a state captured before the count table existed,
-// when Nbrs held every occurrence) is rebuilt from Nbrs on restore.
+// from Nbrs.
 type TrackerState struct {
 	Parts    []ID
 	Nbrs     [][]uint32
@@ -25,9 +24,6 @@ func (t *Tracker) CaptureState() TrackerState {
 		Nbrs:     make([][]uint32, len(t.nbrs)),
 		Cnt:      append([]int32(nil), t.cnt...),
 		Observed: t.observed,
-	}
-	if s.Cnt == nil {
-		s.Cnt = []int32{}
 	}
 	for i, ns := range t.nbrs {
 		if len(ns) > 0 {
@@ -78,25 +74,10 @@ func (t *Tracker) RestoreState(s TrackerState) error {
 	t.parts = parts
 	t.nbrs = nbrs
 	t.observed = s.Observed
-	switch {
-	case s.Cnt != nil && len(s.Cnt) == len(parts)*t.k:
-		t.cnt = append([]int32(nil), s.Cnt...)
-	case s.Cnt != nil:
+	if len(s.Cnt) != len(parts)*t.k {
 		return fmt.Errorf("partition: state has %d neighbour counts for %d vertices × k=%d",
 			len(s.Cnt), len(parts), t.k)
-	default:
-		// Legacy state (captured when Nbrs held every occurrence): rebuild
-		// cnt[v·k+p] = occurrences u ∈ nbrs[v] with parts[u] == p, the
-		// exact invariant the streaming path maintains.
-		cnt := make([]int32, len(parts)*t.k)
-		for v, ns := range nbrs {
-			for _, u := range ns {
-				if p := parts[u]; p != Unassigned {
-					cnt[v*t.k+int(p)]++
-				}
-			}
-		}
-		t.cnt = cnt
 	}
+	t.cnt = append([]int32(nil), s.Cnt...)
 	return nil
 }

@@ -118,10 +118,11 @@ type Log struct {
 
 func (l *Log) path(name string) string { return filepath.Join(l.opt.Dir, name) }
 
-// Open scans dir, recovers the newest readable checkpoint and the
-// surviving record tail (see the package comment for the exact
-// degradation rules), and returns a Log positioned to append after the
-// last surviving record.
+// Open recovers dir with the read-only scan the Tailer also uses (see the
+// package comment for the rules), then makes it writable: leftover
+// checkpoint temp files are removed, a torn tail is cut off the final
+// segment, and a fresh segment is started after the last surviving
+// record, where the returned Log appends.
 func Open(fsys FS, opt Options) (*Log, *Recovered, error) {
 	opt = opt.withDefaults()
 	if opt.Dir == "" {
@@ -130,73 +131,34 @@ func Open(fsys FS, opt Options) (*Log, *Recovered, error) {
 	if err := fsys.MkdirAll(opt.Dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: create dir: %w", err)
 	}
-	l := &Log{fs: fsys, opt: opt}
-	names, err := fsys.List(opt.Dir)
+	d, err := listDir(fsys, opt.Dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: list dir: %w", err)
-	}
-	rec := &Recovered{}
-	for _, name := range names {
-		if strings.HasSuffix(name, tmpSuffix) {
-			// Leftover of a checkpoint that crashed before its rename;
-			// the atomic-publish protocol makes it garbage by definition.
-			_ = fsys.Remove(l.path(name))
-			continue
-		}
-		if lsn, ok := parseName(name, ckptPrefix, ckptSuffix); ok {
-			l.ckpts = append(l.ckpts, lsn)
-			continue
-		}
-		if lsn, ok := parseName(name, segPrefix, segSuffix); ok {
-			l.segs = append(l.segs, lsn)
-			continue
-		}
-		rec.Warnings = append(rec.Warnings, fmt.Sprintf("ignoring unrecognised file %q", name))
-	}
-	// List is sorted and the zero-padded hex names sort by LSN, so ckpts
-	// and segs are already ascending.
-
-	// Newest readable checkpoint wins; older ones are the fallback chain.
-	for i := len(l.ckpts) - 1; i >= 0; i-- {
-		lsn := l.ckpts[i]
-		data, rerr := fsys.ReadFile(l.path(ckptName(lsn)))
-		if rerr == nil {
-			payload, plsn, perr := parseCheckpointFile(data)
-			if perr == nil && plsn == lsn {
-				rec.HaveCheckpoint = true
-				rec.Checkpoint = payload
-				rec.CheckpointLSN = lsn
-				rec.CheckpointFallback = i != len(l.ckpts)-1
-				break
-			}
-			rerr = perr
-			if perr == nil {
-				rerr = fmt.Errorf("checkpoint LSN %d does not match file name", plsn)
-			}
-		}
-		rec.Warnings = append(rec.Warnings,
-			fmt.Sprintf("checkpoint %s unreadable (%v), falling back", ckptName(lsn), rerr))
-	}
-	if !rec.HaveCheckpoint {
-		if len(l.ckpts) > 0 && (len(l.segs) == 0 || l.segs[0] != 1) {
-			// Checkpoints existed (so old segments were pruned against
-			// them) but none is readable and the log no longer reaches
-			// back to the start of the stream: unrecoverable.
-			return nil, nil, fmt.Errorf("wal: all %d checkpoints unreadable and log starts at segment %016x: %w",
-				len(l.ckpts), firstOr(l.segs, 0), ErrNoCheckpoint)
-		}
-		if len(l.ckpts) > 0 {
-			rec.Warnings = append(rec.Warnings,
-				fmt.Sprintf("all %d checkpoints unreadable; replaying the full log", len(l.ckpts)))
-		}
-	}
-
-	if err := l.scanSegments(rec); err != nil {
 		return nil, nil, err
 	}
-	rec.LastLSN = l.nextLSN - 1
+	l := &Log{fs: fsys, opt: opt, ckpts: d.ckpts, segs: d.segs}
+	for _, name := range d.tmps {
+		// Leftover of a checkpoint that crashed before its rename; the
+		// atomic-publish protocol makes it garbage by definition.
+		_ = fsys.Remove(l.path(name))
+	}
+	rec, torn, err := recoverDir(fsys, opt.Dir, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	if torn != nil {
+		if err := l.cutTornTail(torn, rec); err != nil {
+			return nil, nil, err
+		}
+	}
+	l.nextLSN = rec.LastLSN + 1
 	// Everything recovery handed back came off stable storage.
 	l.synced = rec.LastLSN
+	if n := len(l.segs); n > 0 && l.segs[n-1] == l.nextLSN {
+		// The final segment holds no records (a log closed right after
+		// Open): startSegment recreates that very file below. Listed twice,
+		// checkpoint pruning would delete the active segment.
+		l.segs = l.segs[:n-1]
+	}
 	// Start the tail segment now rather than on the first append: segment
 	// creation carries a directory fsync, and paying it here keeps that
 	// constant cost out of the ingest path.
@@ -211,113 +173,23 @@ func Open(fsys FS, opt Options) (*Log, *Recovered, error) {
 	return l, rec, nil
 }
 
-func firstOr(s []uint64, def uint64) uint64 {
-	if len(s) > 0 {
-		return s[0]
-	}
-	return def
-}
-
-// scanSegments reads every record after rec.CheckpointLSN, truncating the
-// log at the first damaged frame (torn tail) and erroring on gaps. It
-// leaves l.nextLSN positioned after the last surviving record.
-func (l *Log) scanSegments(rec *Recovered) error {
-	base := rec.CheckpointLSN
-	l.nextLSN = base + 1
-
-	// The scan starts at the last segment whose first LSN is <= base+1 —
-	// the one that contains (or would contain) the first record to replay.
-	start := -1
-	for i, fl := range l.segs {
-		if fl <= base+1 {
-			start = i
+// cutTornTail repairs the torn tail recovery found in the final segment:
+// a damaged header takes the whole file, a damaged frame is truncated
+// away, so appends continue right after the last intact record.
+func (l *Log) cutTornTail(t *tornTail, rec *Recovered) error {
+	name := segName(t.seg)
+	if t.off == 0 {
+		if err := l.fs.Remove(l.path(name)); err != nil {
+			return fmt.Errorf("wal: remove torn segment %s: %w", name, err)
 		}
-	}
-	if start == -1 {
-		if len(l.segs) > 0 {
-			// Every surviving segment starts after the records we need.
-			return fmt.Errorf("wal: need records from LSN %d but oldest segment starts at %d: %w",
-				base+1, l.segs[0], ErrGap)
-		}
+		l.segs = l.segs[:len(l.segs)-1]
+		rec.Warnings = append(rec.Warnings, fmt.Sprintf("removed segment %s", name))
 		return nil
 	}
-
-	expectFirst := uint64(0)
-	for i := start; i < len(l.segs); i++ {
-		fl := l.segs[i]
-		name := segName(fl)
-		data, err := l.fs.ReadFile(l.path(name))
-		if err != nil {
-			return fmt.Errorf("wal: read segment %s: %w", name, err)
-		}
-		if !parseSegHeader(data, fl) {
-			// A damaged header can only be the torn creation of the tail
-			// segment; drop it and anything after it.
-			rec.Warnings = append(rec.Warnings,
-				fmt.Sprintf("segment %s has a damaged header; truncating log before it", name))
-			return l.dropFrom(i, rec)
-		}
-		if expectFirst != 0 && fl != expectFirst {
-			if fl > expectFirst {
-				return fmt.Errorf("wal: segment chain jumps from LSN %d to %d (%s): %w",
-					expectFirst, fl, name, ErrGap)
-			}
-			return fmt.Errorf("wal: segment %s overlaps the previous segment (expected first LSN %d): %w",
-				name, expectFirst, ErrCorrupt)
-		}
-		lsn := fl
-		off := segHeaderSize
-		for off < len(data) {
-			tornAt := -1
-			var plen int
-			if len(data)-off < recordFrameSize {
-				tornAt = off
-			} else {
-				plen = int(binary.LittleEndian.Uint32(data[off:]))
-				if plen > maxRecordBytes || off+recordFrameSize+plen > len(data) {
-					tornAt = off
-				} else if Checksum(data[off+recordFrameSize:off+recordFrameSize+plen]) !=
-					binary.LittleEndian.Uint32(data[off+4:]) {
-					tornAt = off
-				}
-			}
-			if tornAt >= 0 {
-				rec.Warnings = append(rec.Warnings,
-					fmt.Sprintf("segment %s: bad record at offset %d (LSN %d); truncating log there", name, off, lsn))
-				if err := l.fs.Truncate(l.path(name), int64(off)); err != nil {
-					return fmt.Errorf("wal: truncate torn tail of %s: %w", name, err)
-				}
-				if lsn > base {
-					l.nextLSN = lsn
-				}
-				return l.dropFrom(i+1, rec)
-			}
-			payload := data[off+recordFrameSize : off+recordFrameSize+plen]
-			if lsn > base {
-				rec.Records = append(rec.Records, payload)
-			}
-			lsn++
-			off += recordFrameSize + plen
-		}
-		if lsn > base {
-			l.nextLSN = lsn
-		}
-		expectFirst = lsn
+	if err := l.fs.Truncate(l.path(name), int64(t.off)); err != nil {
+		return fmt.Errorf("wal: truncate torn tail of %s: %w", name, err)
 	}
-	return nil
-}
-
-// dropFrom removes segments l.segs[i:] — everything at or past the first
-// damaged frame — and records the truncation in rec.
-func (l *Log) dropFrom(i int, rec *Recovered) error {
-	rec.TornTail = true
-	for _, fl := range l.segs[i:] {
-		if err := l.fs.Remove(l.path(segName(fl))); err != nil {
-			return fmt.Errorf("wal: remove truncated segment %s: %w", segName(fl), err)
-		}
-		rec.Warnings = append(rec.Warnings, fmt.Sprintf("removed segment %s past the torn tail", segName(fl)))
-	}
-	l.segs = l.segs[:i]
+	rec.Warnings = append(rec.Warnings, fmt.Sprintf("truncated segment %s at offset %d", name, t.off))
 	return nil
 }
 

@@ -1,11 +1,6 @@
 package wal
 
-import (
-	"encoding/binary"
-	"fmt"
-	"path/filepath"
-	"strings"
-)
+import "fmt"
 
 // Tailer reads a WAL directory that another process owns, strictly
 // read-only: it never creates segments, never truncates torn tails and
@@ -14,14 +9,13 @@ import (
 // and then follow the primary's log as it grows (the "-follow" serving
 // mode), without either process coordinating beyond the filesystem.
 //
-// Because the primary may be mid-write when a segment is read, a damaged
-// frame at the end of the log is not an error here: it is an incomplete
-// group-commit flush (or a genuinely torn tail, which the next writer
-// Open will truncate) and Poll simply stops before it, returning what is
-// intact. The same record is re-examined on the next Poll. Damage in a
-// non-final position — a bad frame with intact segments after it, or a
-// chain discontinuity — is real corruption and surfaces as ErrCorrupt /
-// ErrGap, exactly like Open.
+// OpenTailer and Poll read the log with the same scan and damage rule as
+// Open; only the torn tail is handled differently. The primary may be
+// mid-write when a segment is read, so damage at the end of the final
+// segment is an incomplete group-commit flush (or a genuinely torn tail,
+// which the next writer Open will cut off): the Tailer stops before it,
+// returns what is intact, and re-examines the same record on the next
+// Poll. Temp files of a checkpoint mid-publish are skipped, not removed.
 //
 // A Tailer is not goroutine-safe; the owning follower serialises Poll.
 type Tailer struct {
@@ -30,63 +24,23 @@ type Tailer struct {
 	next uint64 // LSN the next Poll starts delivering at
 }
 
-// OpenTailer scans dir read-only and returns the same recovery view Open
-// would produce — the newest readable checkpoint plus every intact record
-// after it — without mutating the directory. The returned Tailer is
-// positioned to deliver records appended after rec.LastLSN.
+// OpenTailer scans dir read-only and returns the recovery view Open would
+// produce — the newest readable checkpoint plus every intact record after
+// it — without mutating the directory. The returned Tailer is positioned
+// to deliver records appended after rec.LastLSN.
 func OpenTailer(fsys FS, dir string) (*Tailer, *Recovered, error) {
 	if dir == "" {
 		return nil, nil, fmt.Errorf("wal: tailer dir is required")
 	}
-	t := &Tailer{fs: fsys, dir: dir}
-	rec := &Recovered{}
-	ckpts, segs, err := t.scanNames(rec)
+	d, err := listDir(fsys, dir)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Newest readable checkpoint wins; older ones are the fallback chain —
-	// the same degradation rules as Open.
-	for i := len(ckpts) - 1; i >= 0; i-- {
-		lsn := ckpts[i]
-		data, rerr := fsys.ReadFile(filepath.Join(dir, ckptName(lsn)))
-		if rerr == nil {
-			payload, plsn, perr := parseCheckpointFile(data)
-			if perr == nil && plsn == lsn {
-				rec.HaveCheckpoint = true
-				rec.Checkpoint = payload
-				rec.CheckpointLSN = lsn
-				rec.CheckpointFallback = i != len(ckpts)-1
-				break
-			}
-			rerr = perr
-			if perr == nil {
-				rerr = fmt.Errorf("checkpoint LSN %d does not match file name", plsn)
-			}
-		}
-		rec.Warnings = append(rec.Warnings,
-			fmt.Sprintf("checkpoint %s unreadable (%v), falling back", ckptName(lsn), rerr))
-	}
-	if !rec.HaveCheckpoint {
-		if len(ckpts) > 0 && (len(segs) == 0 || segs[0] != 1) {
-			return nil, nil, fmt.Errorf("wal: all %d checkpoints unreadable and log starts at segment %016x: %w",
-				len(ckpts), firstOr(segs, 0), ErrNoCheckpoint)
-		}
-		if len(ckpts) > 0 {
-			rec.Warnings = append(rec.Warnings,
-				fmt.Sprintf("all %d checkpoints unreadable; replaying the full log", len(ckpts)))
-		}
-	}
-
-	t.next = rec.CheckpointLSN + 1
-	records, torn, err := t.readFrom(segs, rec)
+	rec, _, err := recoverDir(fsys, dir, d)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec.Records = records
-	rec.TornTail = torn
-	rec.LastLSN = t.next - 1
-	return t, rec, nil
+	return &Tailer{fs: fsys, dir: dir, next: rec.LastLSN + 1}, rec, nil
 }
 
 // Poll re-lists the directory and returns the payloads of every intact
@@ -95,142 +49,20 @@ func OpenTailer(fsys FS, dir string) (*Tailer, *Recovered, error) {
 // records are returned by a later Poll once their frames are complete. If
 // the primary has checkpointed and pruned the segments the tailer still
 // needs (the follower fell too far behind), Poll returns ErrGap: the
-// follower must re-bootstrap from the newer checkpoint.
+// follower must re-bootstrap from the newer checkpoint. A failed Poll
+// delivers nothing and leaves the position where it was.
 func (t *Tailer) Poll() ([][]byte, error) {
-	_, segs, err := t.scanNames(nil)
+	d, err := listDir(t.fs, t.dir)
 	if err != nil {
 		return nil, err
 	}
-	records, _, err := t.readFrom(segs, nil)
-	return records, err
+	w, err := walkSegments(t.fs, t.dir, d.segs, t.next)
+	if err != nil {
+		return nil, err
+	}
+	t.next = w.next
+	return w.records, nil
 }
 
 // LSN returns the LSN of the last record the tailer has delivered.
 func (t *Tailer) LSN() uint64 { return t.next - 1 }
-
-// scanNames lists the directory into sorted checkpoint and segment LSN
-// slices. Unrecognised files are warned about once, at open time (rec is
-// nil on Poll rescans).
-func (t *Tailer) scanNames(rec *Recovered) (ckpts, segs []uint64, err error) {
-	names, err := t.fs.List(t.dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: list dir: %w", err)
-	}
-	for _, name := range names {
-		if strings.HasSuffix(name, tmpSuffix) {
-			continue // a checkpoint mid-publish; not ours to clean up
-		}
-		if lsn, ok := parseName(name, ckptPrefix, ckptSuffix); ok {
-			ckpts = append(ckpts, lsn)
-			continue
-		}
-		if lsn, ok := parseName(name, segPrefix, segSuffix); ok {
-			segs = append(segs, lsn)
-			continue
-		}
-		if rec != nil {
-			rec.Warnings = append(rec.Warnings, fmt.Sprintf("ignoring unrecognised file %q", name))
-		}
-	}
-	// List is sorted and the zero-padded hex names sort by LSN.
-	return ckpts, segs, nil
-}
-
-// readFrom walks segments collecting every intact record with
-// LSN >= t.next, advancing t.next past each one. It reports (but
-// tolerates) a damaged final frame — the live writer's in-flight tail —
-// and errors on gaps and mid-chain damage.
-func (t *Tailer) readFrom(segs []uint64, rec *Recovered) (records [][]byte, torn bool, err error) {
-	// Start at the last segment whose first LSN is <= t.next — the one
-	// that contains (or would contain) the next record to deliver.
-	start := -1
-	for i, fl := range segs {
-		if fl <= t.next {
-			start = i
-		}
-	}
-	if start == -1 {
-		if len(segs) > 0 {
-			return nil, false, fmt.Errorf("wal: need records from LSN %d but oldest segment starts at %d: %w",
-				t.next, segs[0], ErrGap)
-		}
-		return nil, false, nil
-	}
-
-	expectFirst := uint64(0)
-	for i := start; i < len(segs); i++ {
-		fl := segs[i]
-		name := segName(fl)
-		data, rerr := t.fs.ReadFile(filepath.Join(t.dir, name))
-		if rerr != nil {
-			// The primary may prune a segment between List and ReadFile;
-			// a vanished segment at the start of the walk is a pruning
-			// race only if we no longer need it. Surfaced as a transient
-			// (non-Gap, non-Corrupt) error: the next Poll re-lists and
-			// classifies the directory's true state.
-			return nil, false, &SegmentError{Name: name,
-				Err: fmt.Errorf("wal: read segment %s: %w", name, rerr)}
-		}
-		if !parseSegHeader(data, fl) {
-			if i == len(segs)-1 {
-				// The tail segment's header is still being created.
-				if rec != nil {
-					rec.Warnings = append(rec.Warnings,
-						fmt.Sprintf("segment %s has a damaged header; stopping before it", name))
-				}
-				return records, true, nil
-			}
-			return nil, false, &SegmentError{Name: name,
-				Err: fmt.Errorf("wal: segment %s has a damaged header mid-chain: %w", name, ErrCorrupt)}
-		}
-		if expectFirst != 0 && fl != expectFirst {
-			if fl > expectFirst {
-				return nil, false, fmt.Errorf("wal: segment chain jumps from LSN %d to %d (%s): %w",
-					expectFirst, fl, name, ErrGap)
-			}
-			return nil, false, &SegmentError{Name: name,
-				Err: fmt.Errorf("wal: segment %s overlaps the previous segment (expected first LSN %d): %w",
-					name, expectFirst, ErrCorrupt)}
-		}
-		lsn := fl
-		off := segHeaderSize
-		for off < len(data) {
-			bad := false
-			var plen int
-			if len(data)-off < recordFrameSize {
-				bad = true
-			} else {
-				plen = int(binary.LittleEndian.Uint32(data[off:]))
-				if plen > maxRecordBytes || off+recordFrameSize+plen > len(data) {
-					bad = true
-				} else if Checksum(data[off+recordFrameSize:off+recordFrameSize+plen]) !=
-					binary.LittleEndian.Uint32(data[off+4:]) {
-					bad = true
-				}
-			}
-			if bad {
-				if i == len(segs)-1 {
-					// The writer's in-flight (or torn) tail: stop here;
-					// the next Poll re-examines the same offset.
-					if rec != nil {
-						rec.Warnings = append(rec.Warnings,
-							fmt.Sprintf("segment %s: incomplete record at offset %d (LSN %d); stopping there", name, off, lsn))
-					}
-					return records, true, nil
-				}
-				return nil, false, &SegmentError{Name: name,
-					Err: fmt.Errorf("wal: segment %s: bad record at offset %d with intact segments after it: %w",
-						name, off, ErrCorrupt)}
-			}
-			payload := data[off+recordFrameSize : off+recordFrameSize+plen]
-			if lsn >= t.next {
-				records = append(records, payload)
-				t.next = lsn + 1
-			}
-			lsn++
-			off += recordFrameSize + plen
-		}
-		expectFirst = lsn
-	}
-	return records, false, nil
-}

@@ -334,3 +334,42 @@ func TestLogBreaksWhenRetriesExhausted(t *testing.T) {
 	}
 	wantRecords(t, rec, 100, 2)
 }
+
+// TestTailerPollErrorKeepsPosition: a Poll that fails part-way through a
+// multi-segment walk delivers nothing, so it must not advance past the
+// records it read before the failure — the next Poll delivers them all.
+func TestTailerPollErrorKeepsPosition(t *testing.T) {
+	fs := NewMemFS()
+	opt := Options{Dir: "wal", Policy: SyncAlways, SegmentBytes: 128}
+	l, _ := mustOpen(t, fs, opt)
+	appendN(t, l, 0, 2)
+	tl, rec := mustTail(t, fs, "wal")
+	wantRecords(t, rec, 0, 2)
+
+	appendN(t, l, 2, 30) // rotates through several segments
+	var segs []string
+	for _, n := range fs.DumpNames() {
+		if strings.HasSuffix(n, ".seg") {
+			segs = append(segs, n)
+		}
+	}
+	if len(segs) < 3 {
+		t.Fatalf("need several segments, got %v", segs)
+	}
+	// Fail the read of the last segment only: the walk has already
+	// decoded the records of every segment before it.
+	fs.SetReadFault(segs[len(segs)-1], 1, nil)
+	if got, err := tl.Poll(); err == nil {
+		t.Fatalf("Poll over injected read fault returned %d records, no error", len(got))
+	}
+	got, err := tl.Poll()
+	if err != nil || len(got) != 30 {
+		t.Fatalf("Poll after the fault = %d records, err %v — want 30, nil", len(got), err)
+	}
+	for i, r := range got {
+		if want := string(payload(2 + i)); string(r) != want {
+			t.Fatalf("polled record %d = %q, want %q", i, r, want)
+		}
+	}
+	l.Close()
+}

@@ -17,11 +17,11 @@
 // are opaque payloads to this package; framing, integrity and ordering are
 // its whole job.
 //
-// Segment files carry a 20-byte header (magic, format version, first LSN,
-// header CRC) followed by length-prefixed records, each protected by a
+// Segment files carry a 20-byte header (magic, first LSN, and a CRC-32C
+// of those two) followed by length-prefixed records, each protected by a
 // CRC-32C (Castagnoli) of its payload. LSNs are implicit: the i-th record
 // of a segment has LSN firstLSN+i, and segment chains are validated for
-// continuity when the log is opened.
+// continuity when the log is read.
 //
 // Checkpoints are written to a temporary file, fsynced, renamed into
 // place, and the directory fsynced — the standard atomic-publish sequence
@@ -31,16 +31,27 @@
 //
 // # Recovery semantics
 //
-// Open scans the directory and returns the newest checkpoint whose CRC
-// verifies (falling back across retained checkpoints), plus every record
-// after it. The first record whose frame is short or whose CRC mismatches
-// is treated as the torn tail of a crashed writer: the log is truncated at
-// that offset, any later segments are removed, and a warning is recorded —
-// recovery proceeds with the surviving prefix, which is always a
-// batch-consistent state. A gap in the segment chain (records missing
-// before intact ones) is not recoverable and surfaces as ErrGap; a
-// directory whose checkpoints are all unreadable and whose log does not
-// reach back to LSN 0 surfaces ErrNoCheckpoint. Neither panics.
+// Open and OpenTailer run one read-only scan. It takes the newest
+// checkpoint whose CRC verifies (falling back across retained
+// checkpoints, with a warning) and every record after it. A directory
+// whose checkpoints are all unreadable and whose log does not reach back
+// to LSN 1 surfaces ErrNoCheckpoint.
+//
+// Damage in the log is classified by one rule. A bad header or frame in
+// the final segment is the torn tail of a crashed (or, for a Tailer,
+// still writing) writer: recovery returns the intact prefix before it,
+// which is always a batch-consistent state, and sets Recovered.TornTail.
+// Any other bad header or frame is ErrCorrupt, wrapped in a SegmentError
+// that names the segment: segments are fsynced before their successor is
+// created, so damage with a segment after it is not a crash artefact, and
+// dropping the intact segments behind it would lose acknowledged records.
+// A segment chain that jumps forward (records missing before intact ones)
+// is ErrGap; one that overlaps is ErrCorrupt. None of these panics.
+//
+// The callers differ only in what they do at a torn tail: Open cuts it
+// off (truncating the bad frame, or removing a final segment whose header
+// is damaged) and appends after it, while a Tailer stops before it and
+// retries it on the next Poll.
 package wal
 
 import (
@@ -50,13 +61,9 @@ import (
 	"time"
 )
 
-// Format versions, bumped when the on-disk encoding changes shape.
-const (
-	// SegmentVersion is the segment file format version.
-	SegmentVersion = 1
-	// CheckpointVersion is the checkpoint file format version.
-	CheckpointVersion = 1
-)
+// CheckpointVersion is the checkpoint file format version, bumped when
+// the encoding changes shape.
+const CheckpointVersion = 1
 
 var (
 	segMagic  = [8]byte{'L', 'O', 'O', 'M', 'W', 'A', 'L', '1'}
@@ -71,13 +78,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // Typed recovery errors. They are returned (wrapped with context) from
-// Open — never panicked — so callers can distinguish a recoverable torn
-// tail (not an error at all; see Recovered.TornTail) from unrecoverable
-// log damage.
+// Open, OpenTailer and Poll — never panicked — so callers can distinguish
+// a recoverable torn tail (not an error at all; see Recovered.TornTail)
+// from unrecoverable log damage.
 var (
-	// ErrCorrupt marks structural damage that is not a torn tail: an
-	// unparseable segment header in the middle of the chain, or a record
-	// that claims to extend past its segment in a non-final position.
+	// ErrCorrupt marks structural damage that is not a torn tail: a bad
+	// header or record frame in any segment but the final one, or a
+	// segment that overlaps its predecessor. It arrives wrapped in a
+	// SegmentError naming the segment.
 	ErrCorrupt = errors.New("wal: corrupt log")
 	// ErrGap marks a discontinuity in the segment chain: records between
 	// the recovery base and the surviving segments are missing, so no
@@ -183,7 +191,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Recovered is what Open found in an existing WAL directory.
+// Recovered is what Open or OpenTailer found in an existing WAL directory.
 type Recovered struct {
 	// HaveCheckpoint reports whether a readable checkpoint was found;
 	// Checkpoint is its payload and CheckpointLSN its log position.
@@ -196,8 +204,10 @@ type Recovered struct {
 	// LastLSN is the LSN of the last surviving record (CheckpointLSN when
 	// Records is empty).
 	LastLSN uint64
-	// TornTail reports that a short or CRC-mismatching record was found
-	// and the log was truncated there (the crashed writer's torn tail).
+	// TornTail reports that the final segment ends in a damaged header or
+	// record frame — a crashed writer's torn tail, or a write still in
+	// flight. Records stops before it; Open has cut it off the log, a
+	// Tailer retries it on the next Poll.
 	TornTail bool
 	// CheckpointFallback reports that the newest checkpoint was unreadable
 	// and an older one was used instead.

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func payload(i int) []byte {
 	return []byte(fmt.Sprintf("record-%04d-%s", i, strings.Repeat("x", i%37)))
 }
 
-func mustOpen(t *testing.T, fsys FS, opt Options) (*Log, *Recovered) {
+func mustOpen(t testing.TB, fsys FS, opt Options) (*Log, *Recovered) {
 	t.Helper()
 	l, rec, err := Open(fsys, opt)
 	if err != nil {
@@ -20,7 +21,7 @@ func mustOpen(t *testing.T, fsys FS, opt Options) (*Log, *Recovered) {
 	return l, rec
 }
 
-func appendN(t *testing.T, l *Log, from, n int) {
+func appendN(t testing.TB, l *Log, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
 		if _, err := l.Append(payload(i)); err != nil {
@@ -508,4 +509,60 @@ func TestEmptyPayloadAndLargeRecord(t *testing.T) {
 		string(rec.Records[1]) != big || string(rec.Records[2]) != "tail" {
 		t.Fatalf("recovered %d records", len(rec.Records))
 	}
+}
+
+// TestOpenRefusesMidChainDamage: a flipped bit in a segment with intact
+// segments after it cannot be a crashed writer's torn tail (segments are
+// fsynced before their successor exists), so Open must refuse it as
+// ErrCorrupt naming the segment — and must not delete the intact
+// segments behind it, which hold acknowledged records.
+func TestOpenRefusesMidChainDamage(t *testing.T) {
+	fs := NewMemFS()
+	opt := Options{Dir: "wal", Policy: SyncAlways, SegmentBytes: 128}
+	l, _ := mustOpen(t, fs, opt)
+	appendN(t, l, 0, 30) // spans several 128-byte segments
+	l.Close()
+	before := fs.DumpNames()
+	if len(before) < 3 {
+		t.Fatalf("need several segments, got %v", before)
+	}
+
+	if err := fs.FlipBit("wal/"+segName(1), int64(segHeaderSize+recordFrameSize+2)); err != nil {
+		t.Fatalf("FlipBit: %v", err)
+	}
+	_, _, err := Open(fs, opt)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over mid-chain damage = %v, want ErrCorrupt", err)
+	}
+	var se *SegmentError
+	if !errors.As(err, &se) || se.Name != segName(1) {
+		t.Fatalf("corruption not attributed to %s: %v", segName(1), err)
+	}
+	if after := fs.DumpNames(); !slices.Equal(after, before) {
+		t.Fatalf("refused Open changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// TestReopenEmptyLogKeepsActiveSegment: a log closed with no records
+// leaves a header-only final segment named after the next LSN, which the
+// next Open recreates as its active segment. A checkpoint after that
+// reopen must not prune the active segment along with the old ones, or
+// every record appended after the checkpoint is lost.
+func TestReopenEmptyLogKeepsActiveSegment(t *testing.T) {
+	fs := NewMemFS()
+	opt := Options{Dir: "wal", Policy: SyncAlways}
+	l, _ := mustOpen(t, fs, opt)
+	l.Close()
+	l, _ = mustOpen(t, fs, opt)
+	appendN(t, l, 0, 10)
+	if _, err := l.WriteCheckpoint([]byte("at-10")); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 10, 5)
+	l.Close()
+	_, rec := mustOpen(t, fs, opt)
+	if rec.CheckpointLSN != 10 {
+		t.Fatalf("CheckpointLSN = %d, want 10", rec.CheckpointLSN)
+	}
+	wantRecords(t, rec, 10, 5)
 }

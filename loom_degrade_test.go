@@ -29,9 +29,9 @@ func TestDegradeToMemoryKeepsIngestLive(t *testing.T) {
 	opt.WALFailure = DegradeToMemory
 	opt.WALAppendRetries = -1 // no retries: the first failure trips the breaker
 	fs := wal.NewMemFS()
-	p, _, err := openFS(fs, opt, wl)
+	p, _, err := OpenFS(fs, opt, wl)
 	if err != nil {
-		t.Fatalf("openFS: %v", err)
+		t.Fatalf("OpenFS: %v", err)
 	}
 
 	ingestSingly(t, p, edges[:40])
@@ -82,7 +82,7 @@ func TestDegradeToMemoryKeepsIngestLive(t *testing.T) {
 	// Recovery over the re-armed directory reproduces the complete
 	// stream — including the records that were never individually
 	// durable, which the checkpoint carried.
-	p2, info, err := openFS(fs, opt, wl)
+	p2, info, err := OpenFS(fs, opt, wl)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -99,9 +99,9 @@ func TestFailStopPolicyStopsIngest(t *testing.T) {
 	wl, edges, opt := faultStream(t) // default policy: FailStop
 	opt.WALAppendRetries = -1
 	fs := wal.NewMemFS()
-	p, _, err := openFS(fs, opt, wl)
+	p, _, err := OpenFS(fs, opt, wl)
 	if err != nil {
-		t.Fatalf("openFS: %v", err)
+		t.Fatalf("OpenFS: %v", err)
 	}
 	defer p.Close()
 
@@ -124,9 +124,9 @@ func TestFailStopPolicyStopsIngest(t *testing.T) {
 func TestWALAppendRetriesAbsorbTransients(t *testing.T) {
 	wl, edges, opt := faultStream(t) // FailStop + default 2 retries
 	fs := wal.NewMemFS()
-	p, _, err := openFS(fs, opt, wl)
+	p, _, err := OpenFS(fs, opt, wl)
 	if err != nil {
-		t.Fatalf("openFS: %v", err)
+		t.Fatalf("OpenFS: %v", err)
 	}
 
 	ingestSingly(t, p, edges[:20])
@@ -143,7 +143,7 @@ func TestWALAppendRetriesAbsorbTransients(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	p2, _, err := openFS(fs, opt, wl)
+	p2, _, err := OpenFS(fs, opt, wl)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

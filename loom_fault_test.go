@@ -7,7 +7,7 @@ package loom
 // and require recovery to land bit-identically on the longest
 // fully-persisted prefix of the stream. Runs under -race in CI.
 //
-// The sweep drives openFS over a deterministic in-memory filesystem
+// The sweep drives OpenFS over a deterministic in-memory filesystem
 // (wal.MemFS) whose write budget tears the stream at an exact byte; a dry
 // run records the cumulative bytes written after each ingest call, which
 // makes every record boundary addressable without knowing the encoding.
@@ -104,7 +104,7 @@ func (g *prefixGolden) at(n int) goldenState {
 // exact byte total once edge i is fully on disk.
 func dryRun(t *testing.T, wl *Workload, edges []StreamEdge, opt Options) []int64 {
 	fs := wal.NewMemFS()
-	p, _, err := openFS(fs, opt, wl)
+	p, _, err := OpenFS(fs, opt, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func crashRecoverCompare(t *testing.T, wl *Workload, edges []StreamEdge, opt Opt
 	budget int64, resolve func(*wal.MemFS), expect int, golden *prefixGolden) {
 	t.Helper()
 	fs := wal.NewMemFS()
-	p1, _, err := openFS(fs, opt, wl)
+	p1, _, err := OpenFS(fs, opt, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func crashRecoverCompare(t *testing.T, wl *Workload, edges []StreamEdge, opt Opt
 	}
 	resolve(fs)
 
-	p2, info, err := openFS(fs, opt, wl)
+	p2, info, err := OpenFS(fs, opt, wl)
 	if err != nil {
 		t.Fatalf("budget %d: recovery failed: %v", budget, err)
 	}
@@ -219,7 +219,7 @@ func TestFaultSweepCheckpointWrite(t *testing.T) {
 
 	// Dry run to find the checkpoint's byte window [w0, w1).
 	fs := wal.NewMemFS()
-	p, _, err := openFS(fs, opt, wl)
+	p, _, err := OpenFS(fs, opt, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestFaultSweepCheckpointWrite(t *testing.T) {
 		t.Run(res.name, func(t *testing.T) {
 			for _, budget := range offsets {
 				fs := wal.NewMemFS()
-				p1, _, err := openFS(fs, opt, wl)
+				p1, _, err := OpenFS(fs, opt, wl)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -267,7 +267,7 @@ func TestFaultSweepCheckpointWrite(t *testing.T) {
 				}
 				res.resolve(fs)
 
-				p2, info, err := openFS(fs, opt, wl)
+				p2, info, err := OpenFS(fs, opt, wl)
 				if err != nil {
 					t.Fatalf("budget %d: recovery failed: %v", budget, err)
 				}
@@ -288,7 +288,7 @@ func TestFaultSweepCheckpointWrite(t *testing.T) {
 	// And the positive case: a checkpoint whose rename was covered by the
 	// directory sync survives even a power loss with nothing else synced.
 	fs2 := wal.NewMemFS()
-	p1, _, err := openFS(fs2, opt, wl)
+	p1, _, err := OpenFS(fs2, opt, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestFaultSweepCheckpointWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs2.CrashLose()
-	p2, info, err := openFS(fs2, opt, wl)
+	p2, info, err := OpenFS(fs2, opt, wl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -471,6 +471,42 @@ func TestMissingSegmentIsTypedError(t *testing.T) {
 	}
 }
 
+// TestMidChainDamageIsTypedError: a flipped bit in a segment that has
+// intact segments after it is not a torn tail. Open must fail with
+// loom.ErrWALCorrupt, name the damaged file through DamagedSegment, and
+// leave every segment in place rather than discard acknowledged records.
+func TestMidChainDamageIsTypedError(t *testing.T) {
+	wl, edges, n := goldenFixture(t, "dblp")
+	dir := t.TempDir()
+	opt := durableOpts(dir, n, 1)
+	opt.WALSegmentBytes = 2048 // force several segments
+
+	p1, _, err := loom.Open(opt, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestRange(t, p1, edges, 0, 600, 1)
+	if err := p1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := walFiles(t, dir, ".seg")
+	if len(segs) < 3 {
+		t.Fatalf("need ≥3 segments for mid-chain damage, got %d", len(segs))
+	}
+	flipByte(t, segs[0], 100) // inside the first segment's records
+
+	_, _, err = loom.Open(opt, wl)
+	if !errors.Is(err, loom.ErrWALCorrupt) {
+		t.Fatalf("Open over mid-chain damage = %v, want ErrWALCorrupt", err)
+	}
+	if name, ok := loom.DamagedSegment(err); !ok || name != filepath.Base(segs[0]) {
+		t.Fatalf("DamagedSegment = %q, %v; want %q", name, ok, filepath.Base(segs[0]))
+	}
+	if after := walFiles(t, dir, ".seg"); !slices.Equal(after, segs) {
+		t.Fatalf("refused Open changed the segments:\nbefore %v\nafter  %v", segs, after)
+	}
+}
+
 // TestMismatchedConfigIsTypedError: a checkpoint is only valid against
 // the Options and base workload that produced it; both mismatches are
 // ErrWALConfig — a configuration error, distinct from corruption.
