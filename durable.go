@@ -187,7 +187,7 @@ func OpenFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo,
 // epoch published. The partitioner is unshared until it is returned, so
 // no lock is taken. The callers differ only in what they attach after.
 func bootstrap(opt Options, wl *Workload, recd *wal.Recovered) (*Partitioner, RecoveryInfo, error) {
-	p, err := newLoom(opt, wl)
+	p, err := newLoom(opt, wl, nil)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
@@ -250,7 +250,7 @@ func DamagedSegment(err error) (name string, ok bool) {
 // consistent by polling.
 //
 // The wrapped Partitioner (see Partitioner method) serves every read —
-// PartitionOf, Snapshot, OnPlace/Subscribe, Evaluate — but refuses direct
+// PartitionOf, Snapshot, Subscribe, Evaluate — but refuses direct
 // ingest: state changes arrive exclusively through Poll, which applies
 // newly appended primary records under the same ingest lock, emitting
 // placement events exactly as the primary did. Because replay is
@@ -735,13 +735,14 @@ func (p *Partitioner) applyRecordLocked(payload []byte) error {
 // config fingerprint, the workload (base fingerprint + AddQuery tail),
 // a trie identity check, the signature scheme's label r-values (assigned
 // in first-use order, so stream-history-dependent — see
-// signature.SchemeState), the shared intern tables, the tracker, the core
-// counters and label cache, the complete window matcher state, and the
-// recorded graph. Restore rebuilds each layer through its own state hook
-// and validates every cross-reference; the trie itself is never
-// serialised — it is rebuilt deterministically from the base workload plus
-// the query tail, which reproduces every node ID the window state refers
-// to.
+// signature.SchemeState), the vertex space (IDs, label names and one label
+// code per vertex — once, for every layer), the tracker, the core
+// counters, the complete window matcher state, and the recorded graph's
+// edge log as dense index pairs. Restore rebuilds each layer through its
+// own state hook and validates every cross-reference; the trie itself is
+// never serialised — it is rebuilt deterministically from the base
+// workload plus the query tail, which reproduces every node ID the window
+// state refers to.
 
 func (p *Partitioner) encodeCheckpointLocked() []byte {
 	var e wal.Enc
@@ -786,17 +787,18 @@ func (p *Partitioner) encodeCheckpointLocked() []byte {
 		e.U32(ss.Values[i])
 	}
 	e.U32(uint32(ss.Draws))
-	// Shared intern tables, in dense/code order.
-	win := p.loom.Window()
-	ids := win.Verts().IDs()
+	// The vertex space every layer shares, in dense/code order.
+	ids, names, codes := p.loom.Space().Capture()
 	e.U32(uint32(len(ids)))
 	for _, id := range ids {
 		e.I64(id)
 	}
-	names := win.Labels().Names()
 	e.U32(uint32(len(names)))
 	for _, n := range names {
 		e.Str(n)
+	}
+	for _, c := range codes {
+		e.U16(c)
 	}
 	// Tracker.
 	ts := p.tr.CaptureState()
@@ -815,9 +817,8 @@ func (p *Partitioner) encodeCheckpointLocked() []byte {
 		e.U32(uint32(c))
 	}
 	e.I64(int64(ts.Observed))
-	// Core counters + label-code cache.
-	cs := p.loom.CaptureState()
-	st := cs.Stats
+	// Core counters.
+	st := p.loom.Stats()
 	for _, v := range []int{
 		st.EdgesProcessed, st.SelfLoops, st.DuplicateEdges, st.ImmediateEdges,
 		st.WindowedEdges, st.Evictions, st.MatchesAssigned, st.ZeroBidRounds,
@@ -825,19 +826,10 @@ func (p *Partitioner) encodeCheckpointLocked() []byte {
 	} {
 		e.I64(int64(v))
 	}
-	e.U32(uint32(len(cs.VLab)))
-	for _, c := range cs.VLab {
-		e.I64(int64(c))
-	}
 	// Window matcher.
-	ws := win.CaptureState()
+	ws := p.loom.Window().CaptureState()
 	e.U64(ws.Seq)
 	e.U64(ws.MSeq)
-	e.U32(uint32(len(ws.VCode)))
-	for i := range ws.VCode {
-		e.Bool(ws.Labelled[i])
-		e.U16(ws.VCode[i])
-	}
 	e.U32(uint32(len(ws.Edges)))
 	for _, es := range ws.Edges {
 		e.U32(es.E.U)
@@ -854,48 +846,15 @@ func (p *Partitioner) encodeCheckpointLocked() []byte {
 			e.U32(ie.V)
 		}
 	}
-	// Recorded graph: the full vertex list (EnsureEdge interns labelled
-	// endpoints even for self-loops that never become edges, and future
-	// label-conflict detection depends on them) plus the accepted-edge
-	// log, each against a local label table.
+	// Recorded graph: the accepted-edge log as dense index pairs, replayed
+	// straight out of the compressed log (spilled chunks included). Its
+	// vertices are the space's, already written above.
 	e.Bool(p.g != nil)
 	if p.g != nil {
-		var labels []string
-		idx := func(s graph.Label) uint32 {
-			for i, l := range labels {
-				if l == string(s) {
-					return uint32(i)
-				}
-			}
-			labels = append(labels, string(s))
-			return uint32(len(labels) - 1)
-		}
-		verts := p.g.Vertices()
-		for _, v := range verts {
-			l, _ := p.g.Label(v)
-			idx(l)
-		}
-		// The accepted-edge log is replayed straight out of the graph's
-		// compressed edge log (including spilled chunks) — it is never
-		// materialised as a slice. Edge labels are always vertex labels,
-		// so the label table is already complete after the vertex walk.
-		rec := p.g.CaptureReplay()
-		e.U32(uint32(len(labels)))
-		for _, l := range labels {
-			e.Str(l)
-		}
-		e.U32(uint32(len(verts)))
-		for _, v := range verts {
-			l, _ := p.g.Label(v)
-			e.I64(int64(v))
-			e.U32(idx(l))
-		}
-		e.U32(uint32(rec.NumEdges()))
-		err := rec.Each(func(se graph.StreamEdge) error {
-			e.I64(int64(se.U))
-			e.U32(idx(se.LU))
-			e.I64(int64(se.V))
-			e.U32(idx(se.LV))
+		e.U32(uint32(p.g.NumEdges()))
+		err := p.g.EachEdgeIdx(func(ui, vi uint32) error {
+			e.U32(ui)
+			e.U32(vi)
 			return nil
 		})
 		if err != nil {
@@ -1007,6 +966,10 @@ func (p *Partitioner) restoreCheckpoint(payload []byte) error {
 	for i := range labelNames {
 		labelNames[i] = d.Str()
 	}
+	codes := make([]uint16, len(ids))
+	for i := range codes {
+		codes[i] = d.U16()
+	}
 
 	var ts partition.TrackerState
 	ts.Parts = make([]partition.ID, d.Len(8))
@@ -1027,30 +990,19 @@ func (p *Partitioner) restoreCheckpoint(payload []byte) error {
 	}
 	ts.Observed = int(d.I64())
 
-	var cs core.State
+	var cs core.Stats
 	for _, f := range []*int{
-		&cs.Stats.EdgesProcessed, &cs.Stats.SelfLoops, &cs.Stats.DuplicateEdges,
-		&cs.Stats.ImmediateEdges, &cs.Stats.WindowedEdges, &cs.Stats.Evictions,
-		&cs.Stats.MatchesAssigned, &cs.Stats.ZeroBidRounds, &cs.Stats.LoneEdgeRounds,
-		&cs.Stats.DeferredEndpoints, &cs.Stats.PriorPlacements,
+		&cs.EdgesProcessed, &cs.SelfLoops, &cs.DuplicateEdges,
+		&cs.ImmediateEdges, &cs.WindowedEdges, &cs.Evictions,
+		&cs.MatchesAssigned, &cs.ZeroBidRounds, &cs.LoneEdgeRounds,
+		&cs.DeferredEndpoints, &cs.PriorPlacements,
 	} {
 		*f = int(d.I64())
-	}
-	cs.VLab = make([]int32, d.Len(8))
-	for i := range cs.VLab {
-		cs.VLab[i] = int32(d.I64())
 	}
 
 	var ws window.MatcherState
 	ws.Seq = d.U64()
 	ws.MSeq = d.U64()
-	nv := d.Len(3)
-	ws.Labelled = make([]bool, nv)
-	ws.VCode = make([]uint16, nv)
-	for i := 0; i < nv; i++ {
-		ws.Labelled[i] = d.Bool()
-		ws.VCode[i] = d.U16()
-	}
 	ws.Edges = make([]window.EdgeState, d.Len(16))
 	for i := range ws.Edges {
 		ws.Edges[i].E.U = d.U32()
@@ -1070,43 +1022,11 @@ func (p *Partitioner) restoreCheckpoint(payload []byte) error {
 	}
 
 	hasGraph := d.Bool()
-	type gvert struct {
-		id    int64
-		label uint32
-	}
-	var glabels []string
-	var gverts []gvert
-	var gedges []graph.StreamEdge
+	var gedges []uint32
 	if hasGraph {
-		glabels = make([]string, d.Len(4))
-		for i := range glabels {
-			glabels[i] = d.Str()
-		}
-		gverts = make([]gvert, d.Len(12))
-		for i := range gverts {
-			gverts[i] = gvert{id: d.I64(), label: d.U32()}
-		}
-		gedges = make([]graph.StreamEdge, d.Len(24))
-		glab := func(i uint32) (graph.Label, error) {
-			if int(i) >= len(glabels) {
-				return "", fmt.Errorf("label index %d beyond table of %d", i, len(glabels))
-			}
-			return graph.Label(glabels[i]), nil
-		}
+		gedges = make([]uint32, 2*d.Len(8))
 		for i := range gedges {
-			u := d.I64()
-			lu := d.U32()
-			v := d.I64()
-			lv := d.U32()
-			lul, err := glab(lu)
-			if err != nil {
-				return fail("recorded edge", err)
-			}
-			lvl, err := glab(lv)
-			if err != nil {
-				return fail("recorded edge", err)
-			}
-			gedges[i] = graph.StreamEdge{U: graph.VertexID(u), LU: lul, V: graph.VertexID(v), LV: lvl}
+			gedges[i] = d.U32()
 		}
 	}
 
@@ -1149,44 +1069,25 @@ func (p *Partitioner) restoreCheckpoint(payload []byte) error {
 		return fail("trie identity", fmt.Errorf("rebuilt trie (size %d, version %d, weight %g) does not match checkpoint (size %d, version %d, weight %g)",
 			p.trie.Size(), p.trie.Version(), p.trie.TotalWeight(), trieSize, trieVersion, trieWeight))
 	}
-	win := p.loom.Window()
-	if err := win.Verts().RestoreIDs(ids); err != nil {
-		return fail("vertex table", err)
-	}
-	if err := win.Labels().RestoreNames(labelNames); err != nil {
-		return fail("label table", err)
+	if err := p.loom.Space().Restore(ids, labelNames, codes); err != nil {
+		return fail("vertex space", err)
 	}
 	if err := p.tr.RestoreState(ts); err != nil {
 		return fail("tracker", err)
 	}
-	if err := p.loom.RestoreState(cs); err != nil {
+	if err := p.loom.RestoreStats(cs); err != nil {
 		return fail("core", err)
 	}
 	nodeByID := make(map[int]*tpstry.Node, p.trie.Size())
 	for _, n := range p.trie.Nodes() {
 		nodeByID[n.ID] = n
 	}
-	if err := win.RestoreState(ws, nodeByID); err != nil {
+	if err := p.loom.Window().RestoreState(ws, nodeByID); err != nil {
 		return fail("window", err)
 	}
 	if p.g != nil {
-		for _, v := range gverts {
-			if int(v.label) >= len(glabels) {
-				return fail("recorded vertex", fmt.Errorf("label index %d beyond table of %d", v.label, len(glabels)))
-			}
-			if err := p.g.AddVertex(graph.VertexID(v.id), graph.Label(glabels[v.label])); err != nil {
-				return fail("recorded vertex", err)
-			}
-		}
-		for i := range gedges {
-			ge := &gedges[i]
-			added, err := p.g.EnsureEdge(ge.U, ge.LU, ge.V, ge.LV)
-			if err != nil {
-				return fail("recorded edge", err)
-			}
-			if !added {
-				return fail("recorded edge", fmt.Errorf("duplicate edge %v-%v in accepted-edge log", ge.U, ge.V))
-			}
+		if err := p.g.RestoreEdges(gedges); err != nil {
+			return fail("recorded graph", err)
 		}
 	}
 	p.seq = seq

@@ -148,8 +148,8 @@ type Loom struct {
 	trie  *tpstry.Trie
 	tr    *partition.Tracker
 	win   *window.Matcher
-	verts *intern.VertexTable // shared by tracker and window
-	ltab  *intern.LabelTable
+	sp    *intern.Space       // shared by tracker and window (and the caller's recorded graph)
+	verts *intern.VertexTable // sp's vertex table
 	stats Stats
 
 	// Eviction-path scratch, reused across rounds so the steady-state
@@ -165,13 +165,6 @@ type Loom struct {
 	ccounts    []int           // clusterCounts accumulator (len K)
 	seenStamp  []uint32        // per dense vertex: epoch of last visit
 	epoch      uint32          // current clusterCounts epoch
-
-	// vlab caches each dense vertex's interned label code (−1 = not yet
-	// seen). Vertex labels are immutable for the life of the stream (the
-	// window's per-vertex r-value cache already relies on this), so after
-	// a vertex's first edge the per-edge path never hashes its label
-	// string again.
-	vlab []int32
 
 	// Batch-pipeline state (see pipeline.go): the pooled per-batch
 	// prepare scratch, the worker gang alive for the duration of one
@@ -221,23 +214,21 @@ func New(cfg Config, trie *tpstry.Trie) (*Loom, error) {
 	if expected > 1<<21 {
 		expected = 1 << 21
 	}
-	verts := intern.NewVertexTable(expected)
-	ltab := intern.NewLabelTable()
-	w := window.NewMatcherWith(trie, cfg.SupportThreshold, cfg.WindowSize, verts, ltab)
+	sp := intern.NewSpace(expected)
+	w := window.NewMatcherWith(trie, cfg.SupportThreshold, cfg.WindowSize, sp)
 	if cfg.MaxMatchesPerVertex > 0 {
 		w.SetMaxMatchesPerVertex(cfg.MaxMatchesPerVertex)
 	}
 	w.Reserve(expected)
-	tr := partition.NewTrackerWith(cfg.K, cfg.Capacity, verts)
+	tr := partition.NewTrackerWith(cfg.K, cfg.Capacity, sp.Verts())
 	tr.Reserve(expected)
 	return &Loom{
 		cfg:        cfg,
 		trie:       trie,
 		tr:         tr,
 		win:        w,
-		verts:      verts,
-		ltab:       ltab,
-		vlab:       make([]int32, 0, expected),
+		sp:         sp,
+		verts:      sp.Verts(),
 		seenStamp:  make([]uint32, 0, expected),
 		scatterMin: defaultScatterMin,
 	}, nil
@@ -258,6 +249,12 @@ func (l *Loom) Tracker() *partition.Tracker { return l.tr }
 
 // Window exposes the sliding window (diagnostics).
 func (l *Loom) Window() *window.Matcher { return l.win }
+
+// Space returns the vertex space the core, its tracker and its window
+// share. A caller that records the stream into a graph builds the graph
+// on it (graph.NewIn) and records each edge before handing it to the
+// core, so the graph is the first to intern and label every vertex.
+func (l *Loom) Space() *intern.Space { return l.sp }
 
 // ProcessEdges implements partition.Streamer: it ingests a batch of stream
 // edges in arrival order. Placements are bit-identical to calling
@@ -320,18 +317,16 @@ func (l *Loom) processResolved(se graph.StreamEdge, ui, vi uint32, cu, cv uint16
 	}
 }
 
-// labelCodeOf returns the interned label code of the vertex at dense
-// index i, hashing the label string only on the vertex's first sighting
-// (vertex labels are immutable for the life of the stream).
+// labelCodeOf returns the label code of the vertex at dense index i,
+// labelling it with lab if the space has not labelled it yet: the first
+// label wins, and the label string is hashed only on the vertex's first
+// sighting (vertex labels are immutable for the life of the stream).
 func (l *Loom) labelCodeOf(i uint32, lab graph.Label) uint16 {
-	for int(i) >= len(l.vlab) {
-		l.vlab = append(l.vlab, -1)
+	if c, ok := l.sp.Code(i); ok {
+		return c
 	}
-	if c := l.vlab[i]; c >= 0 {
-		return uint16(c)
-	}
-	c := l.ltab.Intern(string(lab))
-	l.vlab[i] = int32(c)
+	c := l.sp.Labels().Intern(string(lab))
+	l.sp.SetCode(i, c)
 	return c
 }
 

@@ -5,19 +5,21 @@
 // placement decision reads state written by the previous one — so the
 // placement core cannot be parallelised without changing results. What CAN
 // run concurrently is everything before the first state mutation: fetching
-// and validating the raw edge, resolving its endpoints and labels against
+// and converting the raw edge, resolving its endpoints and labels against
 // the (grow-only) interning tables, and evaluating the memoised single-edge
-// motif gate. The pipeline therefore runs three phases per batch:
+// motif gate. The caller-supplied validate hook (graph recording +
+// corrupt-edge drops) runs first, alone on the driver goroutine: the
+// recorded graph interns into the same vertex space the workers read, and
+// the label table admits concurrent readers only while nothing interns
+// (see internal/intern), so it must finish before the fan-out starts. The
+// pipeline then runs three phases per batch:
 //
 //  1. Prepare (parallel): worker goroutines claim chunks of the batch and
 //     fill a pooled per-batch scratch of preparedEdge records — the
 //     converted stream edge, self-loop flag, dense endpoint indices and
 //     label codes for already-interned vertices (read-only table lookups),
 //     and the gate verdict for already-memoised label pairs (read-only memo
-//     probes). Nothing is written outside each worker's own records. The
-//     caller-supplied validate hook (graph recording + corrupt-edge drops)
-//     runs on the driver goroutine concurrently, since it touches only
-//     caller state.
+//     probes). Nothing is written outside each worker's own records.
 //  2. Finish (serial): one in-order pass interns the vertices, labels and
 //     gate entries the stream has never seen before. Because this pass
 //     walks the batch in arrival order, dense indices and label codes are
@@ -79,11 +81,9 @@ type preparedEdge struct {
 }
 
 // gang is a fork-join pool of parked worker goroutines, alive for one
-// batch. post starts a task on the workers without blocking the caller
-// (who can do serial work — validation — in the meantime), join runs the
-// caller's share and waits for the workers, and run is post+join. The
-// task handoff and completion signals ride channels, so all writes made by
-// a worker happen-before the join returns.
+// batch: run hands a task to every worker, runs the caller's share and
+// waits for the rest. The task handoff and completion signals ride
+// channels, so all writes made by a worker happen-before run returns.
 type gang struct {
 	n     int // total workers, caller included
 	fn    func(worker int)
@@ -109,29 +109,18 @@ func spawnGang(n int) *gang {
 	return g
 }
 
-// post hands fn to the spawned workers and returns immediately; the caller
-// must join before posting or running anything else.
-func (g *gang) post(fn func(worker int)) {
+// run executes fn across the whole gang, the caller as worker 0, and
+// returns when every worker is done.
+func (g *gang) run(fn func(worker int)) {
 	g.fn = fn
 	for _, ch := range g.start {
 		ch <- struct{}{}
 	}
-}
-
-// join runs the posted task as worker 0 and waits for the others.
-func (g *gang) join() {
-	g.fn(0)
+	fn(0)
 	for range g.start {
 		<-g.done
 	}
 	g.fn = nil
-}
-
-// run executes fn across the whole gang and returns when every worker is
-// done.
-func (g *gang) run(fn func(worker int)) {
-	g.post(fn)
-	g.join()
 }
 
 // stop releases the workers; the gang must be idle.
@@ -148,13 +137,37 @@ type prepScratch struct {
 	drop []bool
 }
 
-func (p *prepScratch) ensure(n int) {
+// ensure returns the record scratch sized for n edges.
+func (p *prepScratch) ensure(n int) []preparedEdge {
 	if cap(p.recs) < n {
 		p.recs = make([]preparedEdge, n)
-		p.drop = make([]bool, n)
 	}
 	p.recs = p.recs[:n]
-	p.drop = p.drop[:n]
+	return p.recs
+}
+
+// runValidate calls validate, if any, and returns the mask of the edges it
+// rejected — nil when it rejected none.
+func (l *Loom) runValidate(n int, validate func(reject func(int))) []bool {
+	if validate == nil {
+		return nil
+	}
+	if cap(l.prep.drop) < n {
+		l.prep.drop = make([]bool, n)
+	}
+	drop := l.prep.drop[:n]
+	clear(drop)
+	dropped := false
+	validate(func(i int) {
+		if uint(i) < uint(n) {
+			drop[i] = true
+			dropped = true
+		}
+	})
+	if !dropped {
+		return nil
+	}
+	return drop
 }
 
 // ProcessBatchFunc ingests n stream edges in arrival order through the
@@ -162,9 +175,10 @@ func (p *prepScratch) ensure(n int) {
 // once per element. at(i) must return the i-th edge of the batch and be
 // safe to call from multiple goroutines (it is a pure read of caller
 // state). validate, when non-nil, is called once, serially, on the calling
-// goroutine before any edge is placed: it may inspect the batch (e.g.
-// record edges into a graph), and reject(i) drops edge i entirely — it is
-// neither interned nor placed, matching a per-edge ingest that skips it.
+// goroutine before anything else: it may inspect the batch (e.g. record
+// edges into a graph built on the core's Space), and reject(i) drops edge
+// i entirely — it is neither interned by the core nor placed, matching a
+// per-edge ingest that skips it.
 //
 // With Workers == 1 (or a batch under MinParallelBatch) the whole pipeline
 // degenerates to the serial per-edge path; no goroutine is spawned.
@@ -172,13 +186,16 @@ func (l *Loom) ProcessBatchFunc(n int, at func(int) graph.StreamEdge, validate f
 	if n <= 0 {
 		return
 	}
+	drop := l.runValidate(n, validate)
 	if l.cfg.Workers <= 1 || n < MinParallelBatch {
-		l.processBatchSerial(n, at, validate)
+		for i := 0; i < n; i++ {
+			if drop == nil || !drop[i] {
+				l.ProcessEdge(at(i))
+			}
+		}
 		return
 	}
-
-	l.prep.ensure(n)
-	recs, drop := l.prep.recs, l.prep.drop
+	recs := l.prep.ensure(n)
 
 	// The gate memo must be valid before concurrent read-only probes.
 	l.win.GateSync()
@@ -191,15 +208,13 @@ func (l *Loom) ProcessBatchFunc(n int, at func(int) graph.StreamEdge, validate f
 	}()
 
 	// Phase 1: parallel prepare. Work is claimed in chunks off an atomic
-	// counter; each record is written by exactly one worker. The validate
-	// hook overlaps on the driver — it only touches caller state (the
-	// recorded graph) and the drop slice, which no worker reads.
+	// counter; each record is written by exactly one worker.
 	chunk := n / (4 * g.n)
 	if chunk < 64 {
 		chunk = 64
 	}
 	var next atomic.Int64
-	g.post(func(int) {
+	g.run(func(int) {
 		for {
 			lo := int(next.Add(int64(chunk))) - chunk
 			if lo >= n {
@@ -212,24 +227,13 @@ func (l *Loom) ProcessBatchFunc(n int, at func(int) graph.StreamEdge, validate f
 			l.prepareRange(recs[lo:hi:hi], at, lo)
 		}
 	})
-	dropped := false
-	if validate != nil {
-		clear(drop)
-		validate(func(i int) {
-			if uint(i) < uint(n) {
-				drop[i] = true
-				dropped = true
-			}
-		})
-	}
-	g.join()
 
 	// Phase 2: serial finish — intern the unseen, in arrival order.
-	l.finishPrepare(recs, drop, dropped)
+	l.finishPrepare(recs, drop)
 
 	// Phase 3: sequential placement core.
 	for i := range recs {
-		if dropped && drop[i] {
+		if drop != nil && drop[i] {
 			continue
 		}
 		pe := &recs[i]
@@ -242,36 +246,11 @@ func (l *Loom) ProcessBatchFunc(n int, at func(int) graph.StreamEdge, validate f
 	}
 }
 
-// processBatchSerial is the Workers==1 / small-batch path: behaviour (and
-// cost) of a plain ProcessEdge loop, drops included.
-func (l *Loom) processBatchSerial(n int, at func(int) graph.StreamEdge, validate func(reject func(int))) {
-	if validate == nil {
-		for i := 0; i < n; i++ {
-			l.ProcessEdge(at(i))
-		}
-		return
-	}
-	l.prep.ensure(n)
-	drop := l.prep.drop
-	clear(drop)
-	validate(func(i int) {
-		if uint(i) < uint(n) {
-			drop[i] = true
-		}
-	})
-	for i := 0; i < n; i++ {
-		if !drop[i] {
-			l.ProcessEdge(at(i))
-		}
-	}
-}
-
 // prepareRange fills the prepared records for batch positions
 // [base, base+len(recs)): conversion, self-loop detection, read-only
 // vertex/label resolution and read-only gate probes. Runs on worker
 // goroutines; it must not write anything but its own records.
 func (l *Loom) prepareRange(recs []preparedEdge, at func(int) graph.StreamEdge, base int) {
-	vlab := l.vlab
 	for j := range recs {
 		rec := &recs[j]
 		se := at(base + j)
@@ -285,16 +264,16 @@ func (l *Loom) prepareRange(recs []preparedEdge, at func(int) graph.StreamEdge, 
 		if ui, ok := l.verts.Lookup(int64(se.U)); ok {
 			rec.ui = ui
 			f |= pfU
-			if int(ui) < len(vlab) && vlab[ui] >= 0 {
-				rec.cu = uint16(vlab[ui])
+			if c, ok := l.sp.Code(ui); ok {
+				rec.cu = c
 				f |= pfCU
 			}
 		}
 		if vi, ok := l.verts.Lookup(int64(se.V)); ok {
 			rec.vi = vi
 			f |= pfV
-			if int(vi) < len(vlab) && vlab[vi] >= 0 {
-				rec.cv = uint16(vlab[vi])
+			if c, ok := l.sp.Code(vi); ok {
+				rec.cv = c
 				f |= pfCV
 			}
 		}
@@ -317,10 +296,10 @@ func (l *Loom) prepareRange(recs []preparedEdge, at func(int) graph.StreamEdge, 
 // sub-order as ProcessEdge (U, V, then labels, then the gate), so the
 // interning tables end up byte-for-byte as a sequential ingest would build
 // them — later batches then resolve these entries in the parallel phase.
-func (l *Loom) finishPrepare(recs []preparedEdge, drop []bool, dropped bool) {
+func (l *Loom) finishPrepare(recs []preparedEdge, drop []bool) {
 	for i := range recs {
 		rec := &recs[i]
-		if rec.flags&pfSelfLoop != 0 || (dropped && drop[i]) {
+		if rec.flags&pfSelfLoop != 0 || (drop != nil && drop[i]) {
 			continue
 		}
 		if rec.flags&pfResolved == pfResolved {

@@ -2,33 +2,16 @@ package core
 
 import "fmt"
 
-// State is the checkpointable portion of the Loom core itself: the stream
-// statistics and the per-vertex label-code cache. Everything else the core
-// holds is either owned by a sub-component with its own state type
-// (tracker, window, interning tables) or per-call scratch whose zero value
-// is equivalent after restore (the epoch-stamped eviction buffers start at
-// epoch 0 exactly as a fresh core does).
-//
-// VLab must be restored, not lazily refilled: labelCodeOf trusts the cache
-// over the label arriving on the wire, so a vertex that returns after
-// recovery with a conflicting label must keep resolving to its original
-// code for placements to stay bit-identical.
-type State struct {
-	Stats Stats
-	VLab  []int32
-}
-
-// CaptureState deep-copies the core's checkpointable state.
-func (l *Loom) CaptureState() State {
-	return State{Stats: l.stats, VLab: append([]int32(nil), l.vlab...)}
-}
-
-// RestoreState loads a captured state into a freshly constructed core.
-func (l *Loom) RestoreState(s State) error {
+// RestoreStats loads checkpointed stream statistics into a freshly
+// constructed core. They are the only state the core itself holds across
+// a checkpoint: the tracker, the window and the vertex space restore
+// through their own state hooks, and everything else is per-call scratch
+// whose zero value is equivalent after restore (the epoch-stamped
+// eviction buffers start at epoch 0 exactly as a fresh core does).
+func (l *Loom) RestoreStats(s Stats) error {
 	if l.stats != (Stats{}) {
-		return fmt.Errorf("core: RestoreState on a non-fresh Loom (%d edges processed)", l.stats.EdgesProcessed)
+		return fmt.Errorf("core: RestoreStats on a non-fresh Loom (%d edges processed)", l.stats.EdgesProcessed)
 	}
-	l.stats = s.Stats
-	l.vlab = append(l.vlab[:0], s.VLab...)
+	l.stats = s
 	return nil
 }

@@ -89,10 +89,11 @@ func (e Edge) String() string { return fmt.Sprintf("(%d,%d)", e.U, e.V) }
 type Graph struct {
 	directed bool
 
-	verts  *intern.VertexTable
-	ltab   *intern.LabelTable
-	vlabel []uint16    // label code per dense vertex index
-	adj    []vertexAdj // compressed adjacency per dense vertex index
+	// sp holds the vertices, labels and label codes (verts is its vertex
+	// table, cached for the hot path); adj is indexed by its dense index.
+	sp    *intern.Space
+	verts *intern.VertexTable
+	adj   []vertexAdj // compressed adjacency per dense vertex index
 
 	// eset (fingerprints of packed dense index pairs, verified against
 	// adjacency) detects duplicates; log preserves insertion order so that
@@ -106,13 +107,19 @@ type Graph struct {
 	dupCache []uint64
 }
 
-// New returns an empty undirected labelled graph.
-func New() *Graph {
-	return &Graph{
-		verts: intern.NewVertexTable(0),
-		ltab:  intern.NewLabelTable(),
-	}
-}
+// New returns an empty undirected labelled graph with its own vertex
+// space.
+func New() *Graph { return NewIn(intern.NewSpace(0)) }
+
+// NewIn returns an empty undirected labelled graph over a shared vertex
+// space: the space's vertices are the graph's, and the graph interns and
+// labels new vertices into it. Other components may share the space (Loom's
+// partitioner hands its tracker, window and core the same one) as long as
+// they only intern vertices the graph has already recorded.
+func NewIn(sp *intern.Space) *Graph { return &Graph{sp: sp, verts: sp.Verts()} }
+
+// Space returns the graph's vertex space.
+func (g *Graph) Space() *intern.Space { return g.sp }
 
 // NewDirected returns an empty directed labelled graph. Directed edges are
 // stored (U→V); Neighbors returns out-neighbours and InNeighbors is provided
@@ -238,16 +245,29 @@ func (g *Graph) key(u, v VertexID) Edge {
 // ensureVertex interns id with label l (or validates the label if id is
 // already present) and returns its dense index.
 func (g *Graph) ensureVertex(id VertexID, l Label) (uint32, error) {
-	if i, ok := g.verts.Lookup(int64(id)); ok {
-		if have := g.ltab.Name(g.vlabel[i]); have != string(l) {
+	i := g.verts.Intern(int64(id))
+	if c, ok := g.sp.Code(i); ok {
+		if have := g.sp.Labels().Name(c); have != string(l) {
 			return 0, fmt.Errorf("graph: vertex %d already has label %q (got %q)", id, have, l)
 		}
 		return i, nil
 	}
-	i := g.verts.Intern(int64(id))
-	g.vlabel = append(g.vlabel, g.ltab.Intern(string(l)))
-	g.adj = append(g.adj, vertexAdj{})
+	g.sp.SetCode(i, g.sp.Labels().Intern(string(l)))
+	g.cover()
 	return i, nil
+}
+
+// cover extends the adjacency to every vertex of the space.
+func (g *Graph) cover() {
+	for len(g.adj) < g.verts.Len() {
+		g.adj = append(g.adj, vertexAdj{})
+	}
+}
+
+// name returns the label of dense vertex i.
+func (g *Graph) name(i uint32) Label {
+	c, _ := g.sp.Code(i)
+	return Label(g.sp.Labels().Name(c))
 }
 
 // AddVertex inserts vertex id with the given label. Re-adding an existing
@@ -270,7 +290,7 @@ func (g *Graph) Label(id VertexID) (Label, bool) {
 	if !ok {
 		return "", false
 	}
-	return Label(g.ltab.Name(g.vlabel[i])), true
+	return g.name(i), true
 }
 
 // MustLabel returns the label of id, panicking if id is absent. Intended for
@@ -280,7 +300,7 @@ func (g *Graph) MustLabel(id VertexID) Label {
 	if !ok {
 		panic(fmt.Sprintf("graph: vertex %d not in graph", id))
 	}
-	return Label(g.ltab.Name(g.vlabel[i]))
+	return g.name(i)
 }
 
 // addEdgeIdx records the edge between dense indices (ui, vi), given in
@@ -456,11 +476,14 @@ func (g *Graph) Vertices() []VertexID {
 func (g *Graph) IDs() []int64 { return g.verts.IDs() }
 
 // LabelCode returns the label code of dense vertex i.
-func (g *Graph) LabelCode(i uint32) uint16 { return g.vlabel[i] }
+func (g *Graph) LabelCode(i uint32) uint16 {
+	c, _ := g.sp.Code(i)
+	return c
+}
 
 // LabelCodeOf returns the code of label l, or false when no vertex
 // carries it.
-func (g *Graph) LabelCodeOf(l Label) (uint16, bool) { return g.ltab.Lookup(string(l)) }
+func (g *Graph) LabelCodeOf(l Label) (uint16, bool) { return g.sp.Labels().Lookup(string(l)) }
 
 // AppendNeighborIdx appends the dense indices of dense vertex i's
 // neighbours (out-neighbours for directed graphs) to buf in insertion
@@ -486,6 +509,36 @@ func (g *Graph) EachEdge(fn func(Edge) error) error {
 	})
 }
 
+// EachEdgeIdx is EachEdge over dense vertex indices, in stream
+// orientation: the edge log as recorded.
+func (g *Graph) EachEdgeIdx(fn func(ui, vi uint32) error) error { return g.log.view().each(fn) }
+
+// RestoreEdges loads an edge log, as EachEdgeIdx reports it (flat index
+// pairs), into an empty graph whose space already holds every vertex and
+// label. Each pair must name two distinct labelled vertices of the space
+// and must not repeat an earlier one.
+func (g *Graph) RestoreEdges(pairs []uint32) error {
+	if g.log.n != 0 || len(pairs)%2 != 0 {
+		return fmt.Errorf("graph: RestoreEdges needs an empty graph and index pairs (%d edges, %d indices)", g.log.n, len(pairs))
+	}
+	g.cover()
+	for k := 0; k < len(pairs); k += 2 {
+		ui, vi := pairs[k], pairs[k+1]
+		for _, i := range [2]uint32{ui, vi} {
+			if _, ok := g.sp.Code(i); !ok || int(i) >= len(g.adj) {
+				return fmt.Errorf("graph: restored edge %d-%d: %d is not a labelled vertex", ui, vi, i)
+			}
+		}
+		if ui == vi {
+			return fmt.Errorf("graph: restored edge %d-%d is a self-loop", ui, vi)
+		}
+		if !g.addEdgeIdx(ui, vi) {
+			return fmt.Errorf("graph: restored edge %d-%d is a duplicate", ui, vi)
+		}
+	}
+	return nil
+}
+
 // Edges returns all edges in insertion order. The returned slice is a
 // copy. It panics if a spilled log chunk cannot be read back (use
 // EachEdge for error-aware iteration); in-memory graphs cannot fail.
@@ -503,7 +556,7 @@ func (g *Graph) Edges() []Edge {
 
 // Labels returns the distinct labels in use, sorted, i.e. the alphabet LV.
 func (g *Graph) Labels() []Label {
-	names := g.ltab.Names()
+	names := g.sp.Labels().Names()
 	out := make([]Label, len(names))
 	for i, n := range names {
 		out[i] = Label(n)
@@ -515,8 +568,8 @@ func (g *Graph) Labels() []Label {
 // LabelHistogram returns the number of vertices per label.
 func (g *Graph) LabelHistogram() map[Label]int {
 	h := make(map[Label]int)
-	for _, c := range g.vlabel {
-		h[Label(g.ltab.Name(c))]++
+	for i := range g.verts.Len() {
+		h[g.name(uint32(i))]++
 	}
 	return h
 }
@@ -525,11 +578,11 @@ func (g *Graph) LabelHistogram() map[Label]int {
 // immutable frozen log chunks (and reads already-spilled ones from the
 // same directory) but never spills new chunks itself.
 func (g *Graph) Clone() *Graph {
+	sp := g.sp.Clone()
 	c := &Graph{
 		directed: g.directed,
-		verts:    g.verts.Clone(),
-		ltab:     g.ltab.Clone(),
-		vlabel:   append([]uint16(nil), g.vlabel...),
+		sp:       sp,
+		verts:    sp.Verts(),
 		adj:      make([]vertexAdj, len(g.adj)),
 		eset:     g.eset.Clone(),
 		log:      g.log.clone(),
@@ -571,8 +624,8 @@ func (g *Graph) CaptureReplay() Replay {
 	return Replay{
 		directed: g.directed,
 		ids:      g.verts.IDs(),
-		vlabel:   g.vlabel,
-		names:    g.ltab.Names(),
+		vlabel:   g.sp.Codes(),
+		names:    g.sp.Labels().Names(),
 		lv:       g.log.view(),
 	}
 }
@@ -592,10 +645,13 @@ func (r Replay) Each(fn func(StreamEdge) error) error {
 	})
 }
 
-// MemStats breaks down the recorded graph's memory footprint.
+// MemStats breaks down the recorded graph's memory footprint. The vertex
+// table and the label codes belong to the graph's space, which Loom's
+// partitioner shares with its tracker, window and core; they are counted
+// here, once, as the graph's (the label table's few names are not).
 type MemStats struct {
-	VertexBytes  int   // intern table: slot array + reverse ID mapping
-	LabelBytes   int   // per-vertex label codes
+	VertexBytes  int   // the space's vertex table: slot array + reverse ID mapping
+	LabelBytes   int   // the space's per-vertex label codes
 	AdjBytes     int   // compressed adjacency: buffers + fixed per-vertex state
 	EdgeSetBytes int   // duplicate-edge fingerprint slots
 	LogBytes     int   // resident edge-log chunks + active tail
@@ -616,7 +672,7 @@ func (m MemStats) BytesPerEdge(edges int) float64 {
 func (g *Graph) Mem() MemStats {
 	m := MemStats{
 		VertexBytes:  g.verts.MemBytes(),
-		LabelBytes:   cap(g.vlabel) * 2,
+		LabelBytes:   cap(g.sp.Codes()) * 2,
 		AdjBytes:     len(g.adj) * int(unsafe.Sizeof(vertexAdj{})),
 		EdgeSetBytes: g.eset.Bytes() + cap(g.dupCache)*8,
 		LogBytes:     g.log.bytes(),

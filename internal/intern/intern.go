@@ -12,8 +12,11 @@
 // r-values) is a plain slice indexed by the dense index or code.
 //
 // Tables only grow; indices and codes are stable for the lifetime of the
-// table, so any number of components (tracker, window, recorded graph) can
-// share one table and index their own slices consistently.
+// table. A Space bundles one vertex table, one label table and one label
+// code per vertex, and Loom's partitioner shares a single Space among the
+// recorded graph, the partition tracker, the sliding window and the
+// placement core, so each vertex and label is interned once and every
+// component indexes its own slices by the same dense index.
 //
 // # Concurrency
 //
@@ -21,16 +24,18 @@
 // single-threaded by design, §6 of the paper), but they admit concurrent
 // readers at two strengths:
 //
-// Quiescent reads: every read-only call — VertexTable.Lookup/ID/Len/IDs and
-// LabelTable.Lookup/Name/Len/Names — is safe from any number of goroutines
-// while no Intern runs. This is the contract behind the two-phase batch
-// resolve in internal/core's ingest pipeline: phase one fans read-only
-// Lookups of already-known vertices and labels across worker goroutines,
-// then a single serial phase interns only the strings the stream has never
-// seen (in arrival order, keeping dense indices bit-identical to sequential
-// ingest), after which the new entries are visible to the next batch's
-// parallel phase. The phases are separated by a goroutine join, so no
-// happens-before edge is missing.
+// Quiescent reads: every read-only call — VertexTable.Lookup/ID/Len/IDs,
+// LabelTable.Lookup/Name/Len/Names and Space.Code — is safe from any
+// number of goroutines while no Intern or SetCode runs. This is the
+// contract behind internal/core's batch pipeline, which runs three phases
+// per batch, each separated from the next by a goroutine join: first the
+// validate hook records the batch into the graph on the driver alone,
+// interning every vertex and label it has not seen; then worker
+// goroutines fan read-only lookups of vertices, labels and codes across
+// the batch; then a single serial phase interns what is still unknown (in
+// arrival order, keeping dense indices bit-identical to sequential
+// ingest). Validate interns into the same tables the workers read, so it
+// must finish before the fan-out starts, never overlap it.
 //
 // Live reads: VertexTable.Lookup (and View.Lookup) additionally tolerates a
 // single concurrent Intern-ing writer. Slots publish their dense index with
@@ -49,9 +54,10 @@ import (
 	"sync/atomic"
 )
 
-// MaxLabels bounds the label alphabet: codes are uint16 and the paper's
-// datasets use alphabets of a handful of labels ("typically small", §1.3).
-const MaxLabels = 1 << 16
+// MaxLabels bounds the label alphabet: codes are uint16, one value is kept
+// back to mark an unlabelled vertex in a Space, and the paper's datasets
+// use alphabets of a handful of labels ("typically small", §1.3).
+const MaxLabels = 1<<16 - 1
 
 // VertexTable interns external int64 vertex IDs as dense uint32 indices in
 // first-seen order.

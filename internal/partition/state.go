@@ -33,8 +33,8 @@ func (t *Tracker) CaptureState() TrackerState {
 	return s
 }
 
-// RestoreState loads a captured state into a freshly constructed tracker.
-// It bypasses AssignIdx, so the assign hook is not fired (recovery replays
+// RestoreState loads a captured state into a freshly constructed tracker
+// whose vertex table is already restored. It bypasses AssignIdx, so the assign hook is not fired (recovery replays
 // events only for post-checkpoint work); restored placements are stamped
 // into the page mirror in dense-index order, so the next Publish shows
 // them all.
@@ -42,6 +42,9 @@ func (t *Tracker) RestoreState(s TrackerState) error {
 	if t.assigned != 0 || t.observed != 0 || len(t.parts) != 0 {
 		return fmt.Errorf("partition: RestoreState on a non-fresh tracker (%d assigned, %d observed)",
 			t.assigned, t.observed)
+	}
+	if len(s.Parts) > t.verts.Len() {
+		return fmt.Errorf("partition: state covers %d vertices but the vertex table holds %d", len(s.Parts), t.verts.Len())
 	}
 	if len(s.Nbrs) != len(s.Parts) {
 		return fmt.Errorf("partition: state has %d adjacency rows for %d vertices", len(s.Nbrs), len(s.Parts))

@@ -159,8 +159,11 @@ func (s *Scheme) RestoreState(st SchemeState) error {
 	if len(st.Labels) != len(st.Values) {
 		return fmt.Errorf("signature: state has %d labels but %d values", len(st.Labels), len(st.Values))
 	}
-	if st.Draws < 0 {
-		return fmt.Errorf("signature: negative draw count %d", st.Draws)
+	// Every draw assigns one label its value, so a draw count past the
+	// label count is corrupt — and would fast-forward the generator
+	// through up to 2^31 values.
+	if st.Draws < 0 || st.Draws > len(st.Labels) {
+		return fmt.Errorf("signature: draw count %d outside [0, %d labels]", st.Draws, len(st.Labels))
 	}
 	rvals := make(map[graph.Label]uint32, len(st.Labels))
 	for i, l := range st.Labels {

@@ -62,8 +62,13 @@ import (
 )
 
 // CheckpointVersion is the checkpoint file format version, bumped when
-// the encoding changes shape.
-const CheckpointVersion = 1
+// the encoding changes shape. Version 2 carries the partitioner's one
+// vertex space once (IDs, label names, one label code per vertex) and the
+// recorded graph as its edge log of dense index pairs; version 1 wrote the
+// vertex set twice, a core label cache, per-vertex window label codes and
+// the recorded edges as external IDs with label indices. Only the current
+// version is read.
+const CheckpointVersion = 2
 
 var (
 	segMagic  = [8]byte{'L', 'O', 'O', 'M', 'W', 'A', 'L', '1'}

@@ -26,11 +26,9 @@ type MatchState struct {
 	IEdges []IEdge
 }
 
-// MatcherState is the full checkpointable matcher: counters, the sticky
-// per-vertex label assignment (a vertex keeps its label slot after leaving
-// the window, and future inserts are validated against it — forgetting it
-// would change conflict behaviour after recovery), the live FIFO and every
-// live match.
+// MatcherState is the full checkpointable matcher: counters, the live FIFO
+// and every live match. Vertex labels are not part of it: they live in the
+// vertex space, which is restored first.
 //
 // The matches must be serialised rather than re-derived by re-inserting
 // the window edges: tryJoin can create matches that do not contain the
@@ -38,29 +36,15 @@ type MatchState struct {
 // removal), and the per-vertex match cap makes the surviving set dependent
 // on the full insertion history, not just the current edge set.
 type MatcherState struct {
-	Seq  uint64
-	MSeq uint64
-	// VCode/Labelled cover every dense vertex the matcher has ever touched
-	// (the extent of its per-vertex slices); Labelled marks the ones whose
-	// label is sticky — the extent can contain never-labelled gaps when
-	// the shared vertex table grew past the window.
-	VCode    []uint16
-	Labelled []bool
-	Edges    []EdgeState  // live edges, oldest-first
-	Matches  []MatchState // live matches, ascending Seq
+	Seq     uint64
+	MSeq    uint64
+	Edges   []EdgeState  // live edges, oldest-first
+	Matches []MatchState // live matches, ascending Seq
 }
 
 // CaptureState deep-copies the matcher's checkpointable state.
 func (w *Matcher) CaptureState() MatcherState {
-	s := MatcherState{
-		Seq:      w.seq,
-		MSeq:     w.mseq,
-		VCode:    append([]uint16(nil), w.vcode...),
-		Labelled: make([]bool, len(w.vrval)),
-	}
-	for i, rv := range w.vrval {
-		s.Labelled[i] = rv != 0
-	}
+	s := MatcherState{Seq: w.seq, MSeq: w.mseq}
 	for i := w.head; i < len(w.fifo); i++ {
 		we := w.fifo[i]
 		if w.fifoLive(we) {
@@ -91,49 +75,25 @@ func (w *Matcher) CaptureState() MatcherState {
 }
 
 // RestoreState loads a captured state into a freshly constructed matcher
-// whose trie already carries the workload the state was captured under;
-// nodeByID maps the trie's stable node IDs back to nodes (see
-// tpstry.Trie.Nodes). Matches are relinked in ascending Seq order, which
-// reproduces the seq-ascending byVertex and edge-slot list order the join
-// path depends on.
+// whose trie already carries the workload the state was captured under and
+// whose vertex space is already restored; nodeByID maps the trie's stable
+// node IDs back to nodes (see tpstry.Trie.Nodes). Every window edge must
+// join two labelled vertices. Matches are relinked in ascending Seq order,
+// which reproduces the seq-ascending byVertex and edge-slot list order the
+// join path depends on.
 func (w *Matcher) RestoreState(s MatcherState, nodeByID map[int]*tpstry.Node) error {
 	if w.seq != 0 || w.mseq != 0 || w.edges.Len() != 0 || len(w.fifo) != 0 {
 		return fmt.Errorf("window: RestoreState on a non-fresh matcher")
 	}
-	if len(s.VCode) != len(s.Labelled) {
-		return fmt.Errorf("window: state has %d label codes but %d labelled flags", len(s.VCode), len(s.Labelled))
-	}
-	extent := len(s.VCode)
-
-	// Per-vertex slices, including never-labelled gaps (vrval 0), which
-	// ensureVertex cannot produce — grow manually.
-	for i := 0; i < extent; i++ {
-		w.vrval = append(w.vrval, 0)
-		w.vcode = append(w.vcode, 0)
-		w.vertexRC = append(w.vertexRC, 0)
-		w.byVertex = append(w.byVertex, nil)
-		w.gdeg = append(w.gdeg, 0)
-		w.gstamp = append(w.gstamp, 0)
-	}
-	for i := 0; i < extent; i++ {
-		if !s.Labelled[i] {
-			continue
-		}
-		code := s.VCode[i]
-		if int(code) >= w.ltab.Len() {
-			return fmt.Errorf("window: state labels vertex %d with unknown code %d", i, code)
-		}
-		w.vcode[i] = code
-		w.vrval[i] = w.labelVal(code)
-	}
-
 	var lastSeq uint64
 	for _, es := range s.Edges {
 		e := es.E
 		if e != e.norm() || e.U == e.V {
 			return fmt.Errorf("window: state edge %v is not a normalised window edge", e)
 		}
-		if int(e.V) >= extent || !s.Labelled[e.U] || !s.Labelled[e.V] {
+		cu, uok := w.sp.Code(e.U)
+		cv, vok := w.sp.Code(e.V)
+		if !uok || !vok {
 			return fmt.Errorf("window: state edge %v references an unlabelled vertex", e)
 		}
 		if es.Seq <= lastSeq || es.Seq > s.Seq {
@@ -146,6 +106,8 @@ func (w *Matcher) RestoreState(s MatcherState, nodeByID map[int]*tpstry.Node) er
 		}
 		slot.Val.seq = es.Seq
 		w.fifo = append(w.fifo, winEdge{ie: e, seq: es.Seq})
+		w.ensureVertex(e.U, cu)
+		w.ensureVertex(e.V, cv)
 		w.vertexRC[e.U]++
 		w.vertexRC[e.V]++
 	}

@@ -187,6 +187,10 @@ type Matcher struct {
 	maxEdges  int // largest motif size; matches never grow beyond it
 	maxPerV   int
 
+	// sp is the vertex space (shared with the tracker, core and recorded
+	// graph under Loom): it holds each vertex's label code. verts and ltab
+	// are its tables, cached for the hot path.
+	sp    *intern.Space
 	verts *intern.VertexTable
 	ltab  *intern.LabelTable
 	lval  []uint32 // r(l) per label code (0 = not yet resolved; values are in [1, p))
@@ -195,7 +199,6 @@ type Matcher struct {
 	// leaving the window — labels are immutable and slots are reused on
 	// return).
 	vrval    []uint32 // r-value of the vertex's label
-	vcode    []uint16 // label code of the vertex
 	vertexRC []int32  // window edges touching the vertex
 	byVertex [][]*Match
 
@@ -251,15 +254,15 @@ type winEdge struct {
 
 // NewMatcher builds a window of the given capacity (the paper's t, default
 // 10k edges in §5.1) over the motifs of trie at the given support
-// threshold, with its own interning tables.
+// threshold, with its own vertex space.
 func NewMatcher(trie *tpstry.Trie, threshold float64, capacity int) *Matcher {
-	return NewMatcherWith(trie, threshold, capacity, intern.NewVertexTable(0), intern.NewLabelTable())
+	return NewMatcherWith(trie, threshold, capacity, intern.NewSpace(0))
 }
 
-// NewMatcherWith is NewMatcher over shared interning tables, so the window
-// and the partition tracker agree on dense vertex indices (Loom shares one
-// table per partitioner).
-func NewMatcherWith(trie *tpstry.Trie, threshold float64, capacity int, verts *intern.VertexTable, ltab *intern.LabelTable) *Matcher {
+// NewMatcherWith is NewMatcher over a shared vertex space, so the window
+// and the partition tracker agree on dense vertex indices and labels (Loom
+// shares one space per partitioner).
+func NewMatcherWith(trie *tpstry.Trie, threshold float64, capacity int, sp *intern.Space) *Matcher {
 	if capacity < 0 {
 		panic(fmt.Sprintf("window: negative capacity %d", capacity))
 	}
@@ -271,8 +274,9 @@ func NewMatcherWith(trie *tpstry.Trie, threshold float64, capacity int, verts *i
 		capacity:  capacity,
 		maxEdges:  maxEdges,
 		maxPerV:   DefaultMaxMatchesPerVertex,
-		verts:     verts,
-		ltab:      ltab,
+		sp:        sp,
+		verts:     sp.Verts(),
+		ltab:      sp.Labels(),
 		growRest:  make([][]IEdge, maxEdges+1),
 		pool:      make([]*Match, 0, maxPoolMatches),
 	}
@@ -294,9 +298,6 @@ func (w *Matcher) Reserve(n int) {
 		vrval := make([]uint32, len(w.vrval), n)
 		copy(vrval, w.vrval)
 		w.vrval = vrval
-		vcode := make([]uint16, len(w.vcode), n)
-		copy(vcode, w.vcode)
-		w.vcode = vcode
 		rc := make([]int32, len(w.vertexRC), n)
 		copy(rc, w.vertexRC)
 		w.vertexRC = rc
@@ -372,14 +373,12 @@ func (w *Matcher) labelVal(c uint16) uint32 {
 func (w *Matcher) ensureVertex(i uint32, code uint16) {
 	for len(w.vrval) <= int(i) {
 		w.vrval = append(w.vrval, 0)
-		w.vcode = append(w.vcode, 0)
 		w.vertexRC = append(w.vertexRC, 0)
 		w.byVertex = append(w.byVertex, nil)
 		w.gdeg = append(w.gdeg, 0)
 		w.gstamp = append(w.gstamp, 0)
 	}
 	w.vrval[i] = w.labelVal(code)
-	w.vcode[i] = code
 }
 
 // Label returns the label of a window vertex.
@@ -388,7 +387,8 @@ func (w *Matcher) Label(v graph.VertexID) (graph.Label, bool) {
 	if !ok || !w.HasVertexIdx(i) {
 		return "", false
 	}
-	return graph.Label(w.ltab.Name(w.vcode[i])), true
+	c, _ := w.sp.Code(i)
+	return graph.Label(w.ltab.Name(c)), true
 }
 
 // HasVertexIdx reports whether the vertex at dense index i currently has
@@ -585,16 +585,21 @@ func (w *Matcher) Insert(e graph.StreamEdge) error {
 	if err := w.checkLabel(vi, e.V, cv); err != nil {
 		return err
 	}
+	if _, ok := w.sp.Code(ui); !ok {
+		w.sp.SetCode(ui, cu)
+	}
+	if _, ok := w.sp.Code(vi); !ok {
+		w.sp.SetCode(vi, cv)
+	}
 	return w.InsertInterned(e, ui, vi, cu, cv, node)
 }
 
-// checkLabel rejects a label conflict on a vertex whose r-value cache is
-// already populated (vrval entries are in [1, p), so 0 marks "never
-// labelled").
+// checkLabel rejects a label conflict on a vertex the space has already
+// labelled.
 func (w *Matcher) checkLabel(i uint32, v graph.VertexID, code uint16) error {
-	if int(i) < len(w.vrval) && w.vrval[i] != 0 && w.vcode[i] != code {
+	if have, ok := w.sp.Code(i); ok && have != code {
 		return fmt.Errorf("window: vertex %d arrived with label %q but was first seen with %q",
-			v, w.ltab.Name(code), w.ltab.Name(w.vcode[i]))
+			v, w.ltab.Name(code), w.ltab.Name(have))
 	}
 	return nil
 }
@@ -1090,9 +1095,11 @@ func (w *Matcher) OldestIdx() (IEdge, bool) {
 // immutable for the life of the stream). Orientation is the normalised
 // one; consumers treat window edges as undirected.
 func (w *Matcher) streamEdgeOf(ie IEdge) graph.StreamEdge {
+	cu, _ := w.sp.Code(ie.U)
+	cv, _ := w.sp.Code(ie.V)
 	return graph.StreamEdge{
-		U: graph.VertexID(w.verts.ID(ie.U)), LU: graph.Label(w.ltab.Name(w.vcode[ie.U])),
-		V: graph.VertexID(w.verts.ID(ie.V)), LV: graph.Label(w.ltab.Name(w.vcode[ie.V])),
+		U: graph.VertexID(w.verts.ID(ie.U)), LU: graph.Label(w.ltab.Name(cu)),
+		V: graph.VertexID(w.verts.ID(ie.V)), LV: graph.Label(w.ltab.Name(cv)),
 	}
 }
 

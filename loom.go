@@ -21,7 +21,7 @@
 //
 //	p, err := loom.New(loom.Options{Partitions: 4, ExpectedVertices: 10000}, wl)
 //	// mirror placements as they happen (e.g. into a query router):
-//	p.OnPlace(func(ev loom.PlacementEvent) { router.Apply(ev) })
+//	p.Subscribe(func(ev loom.PlacementEvent) { router.Apply(ev) })
 //	// stream edges in batches — any number of goroutines may feed:
 //	err = p.AddBatch([]loom.StreamEdge{
 //		{U: 1, LU: "person", V: 2, LV: "person"},
@@ -63,6 +63,7 @@ import (
 	"loom/internal/core"
 	"loom/internal/dataset"
 	"loom/internal/graph"
+	"loom/internal/intern"
 	"loom/internal/partition"
 	"loom/internal/pattern"
 	"loom/internal/refine"
@@ -81,6 +82,11 @@ type StreamEdge struct {
 	LU string
 	V  int64
 	LV string
+}
+
+// internal converts e to the stream-edge type the internal packages use.
+func (e *StreamEdge) internal() graph.StreamEdge {
+	return graph.StreamEdge{U: graph.VertexID(e.U), LU: graph.Label(e.LU), V: graph.VertexID(e.V), LV: graph.Label(e.LV)}
 }
 
 // Options configures a Partitioner. Zero values take the paper's defaults.
@@ -342,14 +348,18 @@ type Partitioner struct {
 
 	// mu guards every field below: ingest and other mutations take the
 	// write lock, reads the read lock. Placement-event handlers run while
-	// the write lock is held (see OnPlace).
+	// the write lock is held (see Subscribe).
 	mu       sync.RWMutex
 	streamer partition.Streamer
 	tr       *partition.Tracker // streamer's tracker (cheap reads, event hook)
 	loom     *core.Loom         // non-nil only for algo == loom
 	trie     *tpstry.Trie
 	wl       *Workload
-	// g is the recorded graph (nil when disabled). Its compressed edge log
+	// g is the recorded graph (nil when disabled), built on the streamer's
+	// vertex space: one vertex table, label table and label code per
+	// vertex serve the graph, the tracker and (for Loom) the window and
+	// core. g records every edge before the streamer sees it, so it is
+	// the first to intern and label each vertex. Its compressed edge log
 	// doubles as the accepted-edge log: Evaluate/Simulate capture a
 	// graph.Replay under the read lock — O(1), pinned slice headers plus
 	// the log's chunk list — and replay it into a private graph with no
@@ -366,7 +376,7 @@ type Partitioner struct {
 	seq      uint64
 	handlers []func(PlacementEvent)
 	// evHooked records that the streamer-level event hooks are installed.
-	// It is set by the first OnPlace and — crucially for recovery — by
+	// It is set by the first Subscribe and — crucially for recovery — by
 	// restore when the checkpointed partitioner had subscribers: the hooks
 	// must advance the event seq during replay even before any handler
 	// re-subscribes, or post-recovery seqs would diverge from the
@@ -481,12 +491,13 @@ func New(opt Options, wl *Workload) (*Partitioner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLoom(opt, wl)
+	return newLoom(opt, wl, nil)
 }
 
 // newLoom is New after option validation, shared with Open (which builds
-// the same fresh partitioner and then restores state into it).
-func newLoom(opt Options, wl *Workload) (*Partitioner, error) {
+// the same fresh partitioner and then restores state into it) and Restream
+// (which passes its prior).
+func newLoom(opt Options, wl *Workload, prior *partition.Assignment) (*Partitioner, error) {
 	if wl == nil || wl.Len() == 0 {
 		return nil, fmt.Errorf("loom: a non-empty workload is required (use NewBaseline for workload-agnostic partitioning)")
 	}
@@ -507,6 +518,7 @@ func newLoom(opt Options, wl *Workload) (*Partitioner, error) {
 		Alpha:            opt.Alpha,
 		MaxImbalance:     opt.MaxImbalance,
 		Workers:          opt.Workers,
+		Prior:            prior,
 	}, trie)
 	if err != nil {
 		return nil, err
@@ -515,21 +527,22 @@ func newLoom(opt Options, wl *Workload) (*Partitioner, error) {
 		name: "loom", streamer: lm, tr: lm.Tracker(), loom: lm,
 		trie: trie, wl: wl, opt: opt, baseQueries: wl.Len(),
 	}
-	if p.g, err = newRecordedGraph(opt); err != nil {
+	if p.g, err = newRecordedGraph(opt, lm.Space()); err != nil {
 		return nil, err
 	}
 	p.publishLocked() // seed the lock-free read surface (no sharing yet)
 	return p, nil
 }
 
-// newRecordedGraph builds the recorded graph per opt — nil when recording
-// is disabled — pre-sizing the duplicate-edge set from ExpectedEdges and
-// configuring edge-log spilling when SpillDir is set.
-func newRecordedGraph(opt Options) (*graph.Graph, error) {
+// newRecordedGraph builds the recorded graph per opt on the streamer's
+// vertex space sp — nil when recording is disabled — pre-sizing the
+// duplicate-edge set from ExpectedEdges and configuring edge-log spilling
+// when SpillDir is set.
+func newRecordedGraph(opt Options, sp *intern.Space) (*graph.Graph, error) {
 	if opt.DisableGraphRecording {
 		return nil, nil
 	}
-	g := graph.New()
+	g := graph.NewIn(sp)
 	g.Reserve(opt.ExpectedEdges)
 	if opt.SpillDir != "" {
 		if err := g.SpillTo(wal.OS(), opt.SpillDir); err != nil {
@@ -567,7 +580,9 @@ func NewBaseline(algo string, opt Options, wl *Workload) (*Partitioner, error) {
 		return nil, fmt.Errorf("loom: unknown baseline %q (want hash, ldg or fennel)", algo)
 	}
 	p := &Partitioner{name: algo, streamer: s, tr: s.Tracker(), wl: wl, opt: opt}
-	if p.g, err = newRecordedGraph(opt); err != nil {
+	// A baseline needs no labels: the recorded graph labels the tracker's
+	// vertex table.
+	if p.g, err = newRecordedGraph(opt, intern.NewSpaceOn(s.Tracker().Verts())); err != nil {
 		return nil, err
 	}
 	p.publishLocked() // seed the lock-free read surface (no sharing yet)
@@ -632,68 +647,57 @@ func (p *Partitioner) applyBatchLocked(batch []StreamEdge) error {
 	// earns its keep for callers that already hold internal stream slices
 	// (cmd tools, the bench harness).
 	for i := range batch {
-		e := &batch[i]
-		se := graph.StreamEdge{
-			U: graph.VertexID(e.U), LU: graph.Label(e.LU),
-			V: graph.VertexID(e.V), LV: graph.Label(e.LV),
+		se := batch[i].internal()
+		if p.recordLocked(se, &firstErr) {
+			p.streamer.ProcessEdge(se)
 		}
-		if p.g != nil {
-			if _, err := p.g.EnsureEdge(se.U, se.LU, se.V, se.LV); err != nil {
-				err = fmt.Errorf("loom: %w", err)
-				if firstErr == nil {
-					firstErr = err
-				}
-				if p.err == nil {
-					p.err = err
-				}
-				continue
-			}
-		}
-		p.streamer.ProcessEdge(se)
 	}
 	return firstErr
+}
+
+// recordLocked records se into the recorded graph, if there is one (p.mu
+// held for writing). An edge whose label conflicts with a recorded vertex
+// is corrupt input: it is not recorded, recordLocked reports false, and
+// the error becomes the sticky Err and, if it is the batch's first,
+// *firstErr.
+func (p *Partitioner) recordLocked(se graph.StreamEdge, firstErr *error) bool {
+	if p.g == nil {
+		return true
+	}
+	if _, err := p.g.EnsureEdge(se.U, se.LU, se.V, se.LV); err != nil {
+		err = fmt.Errorf("loom: %w", err)
+		if *firstErr == nil {
+			*firstErr = err
+		}
+		if p.err == nil {
+			p.err = err
+		}
+		return false
+	}
+	return true
 }
 
 // addBatchParallel feeds a batch through the Loom core's stage-parallel
 // pipeline (p.mu held for writing). The pipeline pulls edges via the at
 // callback — conversion from the public edge type happens inside the
 // parallel prepare pre-pass, off the sequential path — and, when graph
-// recording is on, validates the batch through the same serial EnsureEdge
-// walk as the per-edge path (overlapped with the pre-pass), dropping
+// recording is on, first validates the batch through the same serial
+// recordLocked walk as the per-edge path, before the pre-pass fans out
+// (the graph interns into the vertex space the workers read), dropping
 // corrupt edges with the same sticky-error semantics.
 func (p *Partitioner) addBatchParallel(batch []StreamEdge) error {
 	var firstErr error
-	at := func(i int) graph.StreamEdge {
-		e := &batch[i]
-		return graph.StreamEdge{
-			U: graph.VertexID(e.U), LU: graph.Label(e.LU),
-			V: graph.VertexID(e.V), LV: graph.Label(e.LV),
-		}
-	}
 	var validate func(reject func(int))
 	if p.g != nil {
 		validate = func(reject func(int)) {
 			for i := range batch {
-				e := &batch[i]
-				se := graph.StreamEdge{
-					U: graph.VertexID(e.U), LU: graph.Label(e.LU),
-					V: graph.VertexID(e.V), LV: graph.Label(e.LV),
-				}
-				if _, err := p.g.EnsureEdge(se.U, se.LU, se.V, se.LV); err != nil {
-					err = fmt.Errorf("loom: %w", err)
-					if firstErr == nil {
-						firstErr = err
-					}
-					if p.err == nil {
-						p.err = err
-					}
+				if !p.recordLocked(batch[i].internal(), &firstErr) {
 					reject(i)
-					continue
 				}
 			}
 		}
 	}
-	p.loom.ProcessBatchFunc(len(batch), at, validate)
+	p.loom.ProcessBatchFunc(len(batch), func(i int) graph.StreamEdge { return batch[i].internal() }, validate)
 	return firstErr
 }
 
@@ -735,9 +739,12 @@ func (p *Partitioner) Err() error {
 }
 
 // GraphMemory reports the recorded graph's memory breakdown (adjacency,
-// duplicate-edge set, edge log, intern tables) and how much of the edge
-// log is resident on disk rather than in memory. ok is false when graph
-// recording is disabled. O(|V|); sample it, don't call per edge.
+// duplicate-edge set, edge log, vertex table and label codes) and how much
+// of the edge log is resident on disk rather than in memory. The vertex
+// table and the label codes are shared with the partitioner's tracker,
+// window and core, which hold no copy of their own; they are counted here
+// once. ok is false when graph recording is disabled. O(|V|); sample it,
+// don't call per edge.
 func (p *Partitioner) GraphMemory() (m graph.MemStats, ok bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -820,26 +827,14 @@ type PlacementEvent struct {
 	Partition int
 }
 
-// OnPlace subscribes fn to placement events: every vertex → partition
+// Subscribe registers fn for placement events: every vertex → partition
 // decision (and, for Loom, every window eviction) is delivered exactly
 // once, in decision order, as it happens — the feed a query router needs to
 // mirror the assignment live. Subscribe before ingesting for a complete
-// mirror; events are not replayed retroactively. To subscribe after ingest
-// has started, use Subscribe, which additionally reports the resume point
-// the mirror needs to splice a snapshot onto the live feed.
-//
-// Handlers run synchronously on the ingesting goroutine while the
-// partitioner's ingest lock is held: they must be fast and must not call
-// back into the Partitioner (hand the event to a channel or an
-// independently-locked structure instead). Multiple handlers all receive
-// every event. Offline refinement (Refine) does not emit events — it
-// produces a new assignment rather than streaming decisions; take a
-// Snapshot after refining instead.
-func (p *Partitioner) OnPlace(fn func(PlacementEvent)) { p.Subscribe(fn) }
-
-// Subscribe is OnPlace with a resume point: it registers fn and returns the
-// sequence number the first event delivered to fn will carry. The contract,
-// which holds even when the subscription races ongoing ingest:
+// mirror; events are not replayed retroactively. To join later, use the
+// returned resume point: it is the sequence number the first event
+// delivered to fn will carry. The contract, which holds even when the
+// subscription races ongoing ingest:
 //
 //   - fn receives every event with Seq >= the returned firstSeq, exactly
 //     once, in Seq order, with no holes (Seqs are dense).
@@ -857,6 +852,14 @@ func (p *Partitioner) OnPlace(fn func(PlacementEvent)) { p.Subscribe(fn) }
 // back to the snapshot for anything the feed has not delivered. This is
 // the splice a late-joining query router performs at attach time — see the
 // router package.
+//
+// Handlers run synchronously on the ingesting goroutine while the
+// partitioner's ingest lock is held: they must be fast and must not call
+// back into the Partitioner (hand the event to a channel or an
+// independently-locked structure instead). Multiple handlers all receive
+// every event. Offline refinement (Refine) does not emit events — it
+// produces a new assignment rather than streaming decisions; take a
+// Snapshot after refining instead.
 func (p *Partitioner) Subscribe(fn func(PlacementEvent)) (firstSeq uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1227,45 +1230,17 @@ func (p *Partitioner) Restream() (*Partitioner, error) {
 		p.mu.RUnlock()
 		return nil, fmt.Errorf("loom: Restream requires a Loom partitioner, not %s", name)
 	}
+	// The restream partitioner must not share the original's spill
+	// directory — its fresh edge log would overwrite the original's chunk
+	// files — so its recorded graph stays in memory.
 	opt := p.opt
+	opt.SpillDir = ""
 	wl := p.wl
-	iwl := wl.internal()
 	// The prior shares this partitioner's vertex table read-only; its
 	// lookups tolerate this partitioner interning concurrently.
 	prior := p.view.Load().Materialise()
 	p.mu.RUnlock()
-	scheme := signature.NewScheme(opt.SignaturePrime, opt.Seed)
-	trie, err := iwl.BuildTrie(scheme)
-	if err != nil {
-		return nil, err
-	}
-	lm, err := core.New(core.Config{
-		K:                opt.Partitions,
-		Capacity:         partition.CapacityFor(opt.ExpectedVertices, opt.Partitions, opt.MaxImbalance),
-		WindowSize:       opt.WindowSize,
-		SupportThreshold: opt.SupportThreshold,
-		Alpha:            opt.Alpha,
-		MaxImbalance:     opt.MaxImbalance,
-		Workers:          opt.Workers,
-		Prior:            prior,
-	}, trie)
-	if err != nil {
-		return nil, err
-	}
-	np := &Partitioner{
-		name: "loom", streamer: lm, tr: lm.Tracker(), loom: lm,
-		trie: trie, wl: wl, opt: opt, baseQueries: wl.Len(),
-	}
-	// The restream partitioner must not share the original's spill
-	// directory — its fresh edge log would overwrite the original's chunk
-	// files — so its recorded graph stays in memory.
-	memOpt := opt
-	memOpt.SpillDir = ""
-	if np.g, err = newRecordedGraph(memOpt); err != nil {
-		return nil, err
-	}
-	np.publishLocked() // seed the lock-free read surface (no sharing yet)
-	return np, nil
+	return newLoom(opt, wl, prior)
 }
 
 // Simulation reports a simulated distributed execution of the workload

@@ -591,10 +591,10 @@ func TestPlacementEventsMirrorAssignment(t *testing.T) {
 	// Handlers run under the partitioner's ingest lock, so plain appends
 	// are already serialised; the final read happens after Flush returns.
 	var events []loom.PlacementEvent
-	p.OnPlace(func(ev loom.PlacementEvent) { events = append(events, ev) })
+	p.Subscribe(func(ev loom.PlacementEvent) { events = append(events, ev) })
 	// A second subscriber must see every event too.
 	var count int
-	p.OnPlace(func(loom.PlacementEvent) { count++ })
+	p.Subscribe(func(loom.PlacementEvent) { count++ })
 
 	const producers = 4
 	var wg sync.WaitGroup
@@ -668,7 +668,7 @@ func TestPlacementEventsBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []loom.PlacementEvent
-	p.OnPlace(func(ev loom.PlacementEvent) { events = append(events, ev) })
+	p.Subscribe(func(ev loom.PlacementEvent) { events = append(events, ev) })
 	if err := p.AddBatch([]loom.StreamEdge{
 		{U: 1, LU: "a", V: 2, LV: "b"},
 		{U: 2, LU: "b", V: 3, LV: "a"},

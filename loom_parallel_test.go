@@ -108,7 +108,7 @@ func TestAddBatchParallelEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 		var events []loom.PlacementEvent
-		p.OnPlace(func(ev loom.PlacementEvent) { events = append(events, ev) })
+		p.Subscribe(func(ev loom.PlacementEvent) { events = append(events, ev) })
 		ingestBatches(t, p, edges, 137)
 		return events
 	}

@@ -191,7 +191,7 @@ func TestRecoveryStateEquality(t *testing.T) {
 	}
 }
 
-// TestRecoveryEventStreamContinuity: the OnPlace event feed across a
+// TestRecoveryEventStreamContinuity: the Subscribe event feed across a
 // crash — everything delivered before the crash plus everything delivered
 // after the reopen — must be the uninterrupted run's event stream, with
 // one dense Seq numbering and no replayed duplicates (recovery advances
@@ -207,7 +207,7 @@ func TestRecoveryEventStreamContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []loom.PlacementEvent
-	ref.OnPlace(func(ev loom.PlacementEvent) { want = append(want, ev) })
+	ref.Subscribe(func(ev loom.PlacementEvent) { want = append(want, ev) })
 	ingestRange(t, ref, edges, 0, len(edges), 1)
 	ref.Flush()
 
@@ -217,7 +217,7 @@ func TestRecoveryEventStreamContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1.OnPlace(func(ev loom.PlacementEvent) { got = append(got, ev) })
+	p1.Subscribe(func(ev loom.PlacementEvent) { got = append(got, ev) })
 	ingestRange(t, p1, edges, 0, half, 1)
 	if _, err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestRecoveryEventStreamContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	p2.OnPlace(func(ev loom.PlacementEvent) { got = append(got, ev) })
+	p2.Subscribe(func(ev loom.PlacementEvent) { got = append(got, ev) })
 	ingestRange(t, p2, edges, threeQ, len(edges), 1)
 	p2.Flush()
 

@@ -59,7 +59,7 @@ type Mirror struct {
 }
 
 // New returns a detached Mirror. Feed it by passing m.Apply to
-// Partitioner.OnPlace / Subscribe yourself, or call Attach to do the full
+// Partitioner.Subscribe yourself, or call Attach to do the full
 // mid-stream splice (subscribe + pin + ready) in one step.
 func New() *Mirror {
 	return &Mirror{
@@ -113,7 +113,7 @@ func (m *Mirror) Splice(p *loom.Partitioner) (firstSeq uint64) {
 }
 
 // Apply is the placement event handler: O(1), no partitioner calls. It is
-// exported so a Mirror can be wired to OnPlace/Subscribe directly (or to a
+// exported so a Mirror can be wired to Subscribe directly (or to a
 // replayed event feed in tests); most callers use Attach.
 func (m *Mirror) Apply(ev loom.PlacementEvent) {
 	m.mu.Lock()
@@ -182,7 +182,7 @@ func (m *Mirror) Heal(snap *loom.Snapshot) {
 func (m *Mirror) Ready() bool { return m.ready.Load() }
 
 // SetReady marks the mirror serving (or not). Attach sets it
-// automatically; manual wirings (OnPlace before ingest, replica
+// automatically; manual wirings (Subscribe before ingest, replica
 // bootstrap) flip it when their catch-up completes.
 func (m *Mirror) SetReady(ok bool) { m.ready.Store(ok) }
 
