@@ -1,6 +1,10 @@
 // Command loom-partition partitions an edge-list graph stream with Loom or
 // one of the baseline streaming partitioners, writing the vertex →
-// partition assignment and quality metrics.
+// partition assignment and quality metrics. Every algorithm runs through
+// the public loom API exactly as a library caller would run it: Loom via
+// loom.New (or loom.Open with -wal), the baselines via loom.NewBaseline,
+// all from one loom.Options built from -k, -window, -threshold, -seed and
+// the input's vertex count.
 //
 // Usage:
 //
@@ -10,8 +14,9 @@
 // The workload is either one of the built-in dataset workloads (-workload
 // dblp|provgen|musicbrainz|lubm) or a JSON file (-workload-file, see
 // internal/workload JSON format). Quality (ipt, edge-cut, imbalance) is
-// reported on stderr; use -no-eval to skip workload execution on very
-// large inputs.
+// evaluated on the graph read from the input and reported on stderr;
+// -traversal-cost switches ipt to the traversal-level cost model, and
+// -no-eval skips workload execution on very large inputs.
 //
 // With -wal DIR the Loom partitioner is durable: every ingest is logged
 // to a write-ahead log in DIR before it is applied, an existing DIR is
@@ -28,11 +33,9 @@ import (
 
 	"loom"
 
-	"loom/internal/core"
 	"loom/internal/dataset"
 	"loom/internal/graph"
 	"loom/internal/partition"
-	"loom/internal/signature"
 	"loom/internal/workload"
 )
 
@@ -60,9 +63,8 @@ func main() {
 }
 
 // publicWorkload rebuilds an internal workload through the public pattern
-// API, edge by edge — the durable path runs entirely at the public
-// surface, so its checkpoints fingerprint the same workload a library
-// caller would pass to loom.Open.
+// API, edge by edge, so a durable run's checkpoints fingerprint the same
+// workload a library caller would pass to loom.Open.
 func publicWorkload(wl workload.Workload) *loom.Workload {
 	out := loom.NewWorkload(wl.Name)
 	for _, q := range wl.Queries {
@@ -74,57 +76,6 @@ func publicWorkload(wl workload.Workload) *loom.Workload {
 		out.Add(q.Name, p, q.Freq)
 	}
 	return out
-}
-
-// runDurable ingests the stream through a WAL-backed public partitioner,
-// recovering whatever state the directory already holds.
-func runDurable(stream graph.Stream, wl workload.Workload, k, win int, thr float64, seed int64, n int, walDir string, ckpt bool) (*partition.Assignment, time.Duration, error) {
-	opt := loom.Options{
-		Partitions:       k,
-		ExpectedVertices: n,
-		WindowSize:       win,
-		SupportThreshold: thr,
-		Seed:             seed,
-		WALDir:           walDir,
-	}
-	p, info, err := loom.Open(opt, publicWorkload(wl))
-	if err != nil {
-		return nil, 0, err
-	}
-	if info.Recovered {
-		fmt.Fprintf(os.Stderr, "wal: recovered checkpoint@%d + %d replayed records (lsn %d)\n",
-			info.CheckpointLSN, info.ReplayedRecords, info.LastLSN)
-	}
-	for _, w := range info.Warnings {
-		fmt.Fprintf(os.Stderr, "wal: warning: %s\n", w)
-	}
-	pub := make([]loom.StreamEdge, len(stream))
-	for i, e := range stream {
-		pub[i] = loom.StreamEdge{U: int64(e.U), LU: string(e.LU), V: int64(e.V), LV: string(e.LV)}
-	}
-	start := time.Now()
-	const chunk = 1024
-	for i := 0; i < len(pub); i += chunk {
-		end := min(i+chunk, len(pub))
-		if err := p.AddBatch(pub[i:end]); err != nil {
-			return nil, 0, err
-		}
-	}
-	p.Flush()
-	elapsed := time.Since(start)
-	if err := p.Err(); err != nil {
-		return nil, 0, err
-	}
-	if ckpt {
-		sz, err := p.Checkpoint()
-		if err != nil {
-			return nil, 0, err
-		}
-		fmt.Fprintf(os.Stderr, "wal: checkpoint written (%d bytes)\n", sz)
-	}
-	a := partition.NewAssignment(k)
-	p.Snapshot().Each(func(v int64, part int) { a.Set(graph.VertexID(v), partition.ID(part)) })
-	return a, elapsed, p.Close()
 }
 
 func run(input string, k int, algo, wlName, wlFile string, win int, thr float64, seed int64, out string, noEval, costTrv bool, walDir string, ckpt bool) error {
@@ -153,7 +104,6 @@ func run(input string, k int, algo, wlName, wlFile string, win int, thr float64,
 		seen[e.V] = struct{}{}
 	}
 	n := len(seen)
-	capC := partition.CapacityFor(n, k, partition.DefaultImbalance)
 
 	// Load the workload if needed (required for loom; optional for the
 	// quality report otherwise).
@@ -179,62 +129,78 @@ func run(input string, k int, algo, wlName, wlFile string, win int, thr float64,
 		haveWL = true
 	}
 
-	var a *partition.Assignment
-	var elapsed time.Duration
-	if walDir != "" {
-		// Durable path: the public partitioner logs every ingest to the
-		// WAL before applying it and recovers existing directory state
-		// first. Placements are identical to the in-memory path.
-		if algo != "loom" {
-			return fmt.Errorf("-wal requires -algo loom (baselines are stateless; rerun them from the stream)")
+	if ckpt && walDir == "" {
+		return fmt.Errorf("-checkpoint requires -wal")
+	}
+	// One set of options for every algorithm: the baselines ignore the
+	// Loom-only fields.
+	opt := loom.Options{
+		Partitions:       k,
+		ExpectedVertices: n,
+		WindowSize:       win,
+		SupportThreshold: thr,
+		Seed:             seed,
+	}
+	var p *loom.Partitioner
+	switch {
+	case algo == "loom" && !haveWL:
+		return fmt.Errorf("loom requires -workload or -workload-file")
+	case algo == "loom" && walDir != "":
+		// Durable: every ingest is logged to the WAL before it is
+		// applied, and existing directory state is recovered first.
+		// Placements are identical to the in-memory path.
+		opt.WALDir = walDir
+		var info loom.RecoveryInfo
+		if p, info, err = loom.Open(opt, publicWorkload(wl)); err != nil {
+			return err
 		}
-		if !haveWL {
-			return fmt.Errorf("loom requires -workload or -workload-file")
+		if info.Recovered {
+			fmt.Fprintf(os.Stderr, "wal: recovered checkpoint@%d + %d replayed records (lsn %d)\n",
+				info.CheckpointLSN, info.ReplayedRecords, info.LastLSN)
 		}
-		a, elapsed, err = runDurable(stream, wl, k, win, thr, seed, n, walDir, ckpt)
+		for _, w := range info.Warnings {
+			fmt.Fprintf(os.Stderr, "wal: warning: %s\n", w)
+		}
+	case algo == "loom":
+		p, err = loom.New(opt, publicWorkload(wl))
+	case walDir != "":
+		return fmt.Errorf("-wal requires -algo loom (baselines are stateless; rerun them from the stream)")
+	default:
+		opt.ExpectedEdges = len(stream) // Fennel's α
+		p, err = loom.NewBaseline(algo, opt, nil)
+	}
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+
+	pub := make([]loom.StreamEdge, len(stream))
+	for i, e := range stream {
+		pub[i] = loom.StreamEdge{U: int64(e.U), LU: string(e.LU), V: int64(e.V), LV: string(e.LV)}
+	}
+	start := time.Now()
+	const chunk = 1024
+	for i := 0; i < len(pub); i += chunk {
+		if err := p.AddBatch(pub[i:min(i+chunk, len(pub))]); err != nil {
+			return err
+		}
+	}
+	p.Flush()
+	elapsed := time.Since(start)
+	if err := p.Err(); err != nil {
+		return err
+	}
+	if ckpt {
+		sz, err := p.Checkpoint()
 		if err != nil {
 			return err
 		}
-	} else {
-		if ckpt {
-			return fmt.Errorf("-checkpoint requires -wal")
-		}
-		// Build the partitioner.
-		var s partition.Streamer
-		switch algo {
-		case "hash":
-			s = partition.NewHash(k, capC)
-		case "ldg":
-			s = partition.NewLDG(k, capC)
-		case "fennel":
-			s = partition.NewFennel(k, n, len(stream))
-		case "loom":
-			if !haveWL {
-				return fmt.Errorf("loom requires -workload or -workload-file")
-			}
-			scheme := signature.NewScheme(signature.DefaultP, seed)
-			trie, err := wl.BuildTrie(scheme)
-			if err != nil {
-				return err
-			}
-			s, err = core.New(core.Config{
-				K: k, Capacity: capC, WindowSize: win, SupportThreshold: thr,
-			}, trie)
-			if err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown algorithm %q", algo)
-		}
-
-		// Partition: the whole file is already in memory, so ingest it as
-		// one batch (identical placements to the per-edge path, less
-		// dispatch).
-		start := time.Now()
-		s.ProcessEdges(stream)
-		s.Flush()
-		elapsed = time.Since(start)
-		a = s.Assignment()
+		fmt.Fprintf(os.Stderr, "wal: checkpoint written (%d bytes)\n", sz)
+	}
+	a := partition.NewAssignment(k)
+	p.Snapshot().Each(func(v int64, part int) { a.Set(graph.VertexID(v), partition.ID(part)) })
+	if err := p.Close(); err != nil {
+		return err
 	}
 
 	// Write assignments.

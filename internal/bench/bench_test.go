@@ -15,7 +15,6 @@ func smallCfg() Config {
 		Seed:       7,
 		K:          4,
 		WindowSize: 256,
-		MaxMatches: 20_000,
 		Datasets:   []string{"provgen"},
 	}
 }
@@ -149,29 +148,6 @@ func TestRunFig9SweepImprovesWithWindow(t *testing.T) {
 	}
 }
 
-func TestRunTable2(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Scale = 1200
-	rows, err := RunTable2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (1 dataset + lubm-large) × 4 systems.
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(rows))
-	}
-	for _, r := range rows {
-		if r.Per10k <= 0 {
-			t.Errorf("%s/%s: non-positive duration", r.Dataset, r.System)
-		}
-	}
-	var buf bytes.Buffer
-	RenderTable2(&buf, rows)
-	if !strings.Contains(buf.String(), "lubm-large") {
-		t.Error("render missing lubm-large")
-	}
-}
-
 func TestRunAblation(t *testing.T) {
 	cfg := smallCfg()
 	cells, err := RunAblation(cfg)
@@ -195,26 +171,5 @@ func TestRunAblation(t *testing.T) {
 	RenderAblation(&buf, cells)
 	if !strings.Contains(buf.String(), "loom-naive") {
 		t.Error("render missing variants")
-	}
-}
-
-func TestExecuteWorkloadOnce(t *testing.T) {
-	cfg := smallCfg()
-	res, err := ExecuteWorkloadOnce("provgen", "ldg", graph.OrderBFS, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Workload != "provgen" || len(res.PerQuery) == 0 {
-		t.Errorf("unexpected result %+v", res)
-	}
-}
-
-func TestNewSystemUnknown(t *testing.T) {
-	p, err := prepare("provgen", smallCfg().withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := newSystem("bogus", p, 2, 10, 0.4); err == nil {
-		t.Error("unknown system: want error")
 	}
 }

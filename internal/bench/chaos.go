@@ -129,7 +129,6 @@ func newChaosRig(ds string, cfg Config, edgesCap, keepCkpts int) (*chaosRig, err
 			Partitions:            cfg.K,
 			ExpectedVertices:      len(seen),
 			WindowSize:            cfg.WindowSize,
-			SupportThreshold:      cfg.Threshold,
 			Seed:                  cfg.Seed,
 			DisableGraphRecording: true,
 			WALDir:                "wal",

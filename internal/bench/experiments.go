@@ -3,14 +3,13 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"text/tabwriter"
-	"time"
+
+	"loom"
 
 	"loom/internal/dataset"
 	"loom/internal/graph"
 	"loom/internal/signature"
-	"loom/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -159,20 +158,21 @@ func RunFig9(cfg Config, windows []int) ([]Fig9Point, error) {
 	}
 	var out []Fig9Point
 	for _, ds := range cfg.Datasets {
-		p, err := prepare(ds, cfg)
+		d, err := load(ds, cfg)
 		if err != nil {
 			return nil, err
 		}
 		for _, order := range []graph.StreamOrder{graph.OrderBFS, graph.OrderRandom} {
+			stream, err := loom.OrderStream(d.edges, string(order), cfg.Seed)
+			if err != nil {
+				return nil, err
+			}
 			for _, win := range windows {
-				c := cfg
-				c.WindowSize = win
-				rng := rand.New(rand.NewSource(cfg.Seed))
-				cell, err := runOne(p, "loom", order, cfg.K, c, rng)
+				ev, err := d.score("loom", stream, cfg.K, win)
 				if err != nil {
 					return nil, err
 				}
-				out = append(out, Fig9Point{Dataset: ds, Order: order, Window: win, IPT: cell.IPT})
+				out = append(out, Fig9Point{Dataset: ds, Order: order, Window: win, IPT: ev.IPT})
 			}
 		}
 	}
@@ -188,159 +188,4 @@ func RenderFig9(w io.Writer, pts []Fig9Point) {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\n", p.Dataset, p.Order, p.Window, p.IPT)
 	}
 	tw.Flush()
-}
-
-// ---------------------------------------------------------------------------
-// Table 2 — partitioning throughput
-// ---------------------------------------------------------------------------
-
-// Table2Row reports the time each system takes to partition 10k edges of a
-// dataset's stream, the paper's throughput comparison.
-type Table2Row struct {
-	Dataset string
-	System  string
-	Per10k  time.Duration
-	Edges   int // stream length measured
-}
-
-// RunTable2 measures partitioning throughput on breadth-first streams,
-// including the lubm-large row (a larger LUBM instance, standing in for
-// LUBM-4000 exactly as the paper uses it: a scale demonstration, not an ipt
-// measurement).
-func RunTable2(cfg Config) ([]Table2Row, error) {
-	cfg = cfg.withDefaults()
-	datasets := append(append([]string{}, cfg.Datasets...), "lubm-large")
-	var rows []Table2Row
-	for _, ds := range datasets {
-		scale := cfg.Scale
-		if ds == "lubm-large" {
-			scale = cfg.Scale * 4
-		}
-		c := cfg
-		c.Scale = scale
-		p, err := prepare(ds, c)
-		if err != nil {
-			return nil, err
-		}
-		stream := graph.StreamOf(p.g, graph.OrderBFS, nil)
-		for _, sys := range Systems {
-			s, err := newSystem(sys, p, cfg.K, cfg.WindowSize, cfg.Threshold)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			s.ProcessEdges(stream)
-			s.Flush()
-			elapsed := time.Since(start)
-			per10k := time.Duration(float64(elapsed) * 10_000 / float64(len(stream)))
-			rows = append(rows, Table2Row{Dataset: ds, System: sys, Per10k: per10k, Edges: len(stream)})
-		}
-	}
-	return rows, nil
-}
-
-// RenderTable2 writes the throughput table in the paper's layout (systems
-// as columns).
-func RenderTable2(w io.Writer, rows []Table2Row) {
-	fmt.Fprintln(w, "Table 2: time to partition 10k edges")
-	byDS := map[string]map[string]Table2Row{}
-	var order []string
-	for _, r := range rows {
-		if byDS[r.Dataset] == nil {
-			byDS[r.Dataset] = map[string]Table2Row{}
-			order = append(order, r.Dataset)
-		}
-		byDS[r.Dataset][r.System] = r
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dataset\tldg\tfennel\tloom\thash\tstream edges")
-	for _, ds := range order {
-		m := byDS[ds]
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%d\n", ds,
-			m["ldg"].Per10k.Round(time.Microsecond),
-			m["fennel"].Per10k.Round(time.Microsecond),
-			m["loom"].Per10k.Round(time.Microsecond),
-			m["hash"].Per10k.Round(time.Microsecond),
-			m["loom"].Edges)
-	}
-	tw.Flush()
-}
-
-// ---------------------------------------------------------------------------
-// Ablations
-// ---------------------------------------------------------------------------
-
-// AblationCell reports one Loom variant against full Loom and LDG.
-type AblationCell struct {
-	Dataset   string
-	System    string
-	IPT       float64
-	RelToHash float64
-	Imbalance float64
-}
-
-// ablationSystems are full Loom plus its surgically disabled variants (and
-// LDG for reference, since Loom without motifs degenerates to it).
-var ablationSystems = []string{"hash", "ldg", "loom", "loom-nosupport", "loom-noration", "loom-naive"}
-
-// RunAblation compares the Loom variants on breadth-first streams at K
-// partitions.
-func RunAblation(cfg Config) ([]AblationCell, error) {
-	cfg = cfg.withDefaults()
-	var out []AblationCell
-	for _, ds := range cfg.Datasets {
-		p, err := prepare(ds, cfg)
-		if err != nil {
-			return nil, err
-		}
-		var hashIPT float64
-		for _, sys := range ablationSystems {
-			rng := rand.New(rand.NewSource(cfg.Seed))
-			cell, err := runOne(p, sys, graph.OrderBFS, cfg.K, cfg, rng)
-			if err != nil {
-				return nil, err
-			}
-			if sys == "hash" {
-				hashIPT = cell.IPT
-			}
-			rel := 100.0
-			if hashIPT > 0 {
-				rel = 100 * cell.IPT / hashIPT
-			}
-			out = append(out, AblationCell{
-				Dataset: ds, System: sys, IPT: cell.IPT, RelToHash: rel, Imbalance: cell.Imbalance,
-			})
-		}
-	}
-	return out, nil
-}
-
-// RenderAblation writes the ablation table.
-func RenderAblation(w io.Writer, cells []AblationCell) {
-	fmt.Fprintln(w, "Ablation: Loom variants (bfs streams)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dataset\tsystem\tipt\t% of hash\timbalance")
-	for _, c := range cells {
-		fmt.Fprintf(tw, "%s\t%s\t%.0f\t%.1f%%\t%.1f%%\n", c.Dataset, c.System, c.IPT, c.RelToHash, 100*c.Imbalance)
-	}
-	tw.Flush()
-}
-
-// ExecuteWorkloadOnce partitions the dataset with the named system and
-// returns the workload ipt result, for callers that need a single number.
-func ExecuteWorkloadOnce(ds, sys string, order graph.StreamOrder, cfg Config) (workload.Result, error) {
-	cfg = cfg.withDefaults()
-	p, err := prepare(ds, cfg)
-	if err != nil {
-		return workload.Result{}, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	stream := graph.StreamOf(p.g, order, rng)
-	s, err := newSystem(sys, p, cfg.K, cfg.WindowSize, cfg.Threshold)
-	if err != nil {
-		return workload.Result{}, err
-	}
-	s.ProcessEdges(stream)
-	s.Flush()
-	return workload.Execute(p.g, s.Assignment(), p.wl, workload.Options{MaxMatchesPerQuery: cfg.MaxMatches})
 }

@@ -3,14 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"text/tabwriter"
 
-	"loom/internal/core"
-	"loom/internal/graph"
-	"loom/internal/partition"
-	"loom/internal/refine"
-	"loom/internal/workload"
+	"loom"
 )
 
 // The extensions experiment evaluates the two §6 future-work integrations
@@ -19,7 +14,7 @@ import (
 //
 //   - restreaming (a second Loom pass with the first pass's assignment as
 //     prior), after Nishimura & Ugander [22];
-//   - offline TAPER-style refinement (internal/refine), after Firth &
+//   - offline TAPER-style refinement (Partitioner.Refine), after Firth &
 //     Missier [8].
 
 // ExtensionCell is one row of the extensions table.
@@ -37,96 +32,69 @@ func RunExtensions(cfg Config) ([]ExtensionCell, error) {
 	cfg = cfg.withDefaults()
 	var out []ExtensionCell
 	for _, ds := range cfg.Datasets {
-		p, err := prepare(ds, cfg)
+		d, err := load(ds, cfg)
 		if err != nil {
 			return nil, err
 		}
-		stream := graph.StreamOf(p.g, graph.OrderRandom, rand.New(rand.NewSource(cfg.Seed)))
-		n := p.g.NumVertices()
-		capC := partition.CapacityFor(n, cfg.K, partition.DefaultImbalance)
-
-		eval := func(a *partition.Assignment) (float64, float64, error) {
-			res, err := workload.Execute(p.g, a, p.wl, workload.Options{MaxMatchesPerQuery: cfg.MaxMatches})
-			if err != nil {
-				return 0, 0, err
-			}
-			return res.IPT, partition.Imbalance(a), nil
+		stream, err := loom.OrderStream(d.edges, "random", cfg.Seed)
+		if err != nil {
+			return nil, err
 		}
-
 		// Hash baseline for the relative scale.
-		hash := partition.NewHash(cfg.K, capC)
-		hash.ProcessEdges(stream)
-		hashIPT, _, err := eval(hash.Assignment())
+		hash, err := d.score("hash", stream, cfg.K, cfg.WindowSize)
 		if err != nil {
 			return nil, err
 		}
-		rel := func(ipt float64) float64 {
-			if hashIPT == 0 {
-				return 100
-			}
-			return 100 * ipt / hashIPT
-		}
-
-		runLoom := func(s graph.Stream, prior *partition.Assignment) (*partition.Assignment, error) {
-			lm, err := core.New(core.Config{
-				K: cfg.K, Capacity: capC, WindowSize: cfg.WindowSize,
-				SupportThreshold: cfg.Threshold, Prior: prior,
-			}, p.trie)
+		add := func(sys string, p *loom.Partitioner) error {
+			ev, err := p.Evaluate()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			lm.ProcessEdges(s)
-			lm.Flush()
-			return lm.Assignment(), nil
+			out = append(out, ExtensionCell{ds, sys, ev.IPT, relTo(hash.IPT, ev.IPT), ev.Imbalance})
+			return nil
 		}
 
 		// Pass 1: plain Loom.
-		a1, err := runLoom(stream, nil)
+		pass1, err := d.partition("loom", stream, cfg.K, cfg.WindowSize)
 		if err != nil {
 			return nil, err
 		}
-		ipt1, imb1, err := eval(a1)
-		if err != nil {
+		if err := add("loom", pass1); err != nil {
 			return nil, err
 		}
-		out = append(out, ExtensionCell{ds, "loom", ipt1, rel(ipt1), imb1})
 
-		// Pass 2: restream with the pass-1 assignment as prior. The
-		// replay arrives in a different random order — the realistic
-		// restreaming setting (replaying the identical sequence through
-		// identical heuristics is a fixed point).
-		stream2 := graph.StreamOf(p.g, graph.OrderRandom, rand.New(rand.NewSource(cfg.Seed+1)))
-		a2, err := runLoom(stream2, a1)
+		// Pass 2: restream with the pass-1 assignment as prior, taken
+		// before pass 1 is refined. The replay arrives in a different
+		// random order — the realistic restreaming setting (replaying the
+		// identical sequence through identical heuristics is a fixed
+		// point).
+		pass2, err := pass1.Restream()
 		if err != nil {
 			return nil, err
 		}
-		ipt2, imb2, err := eval(a2)
+		stream2, err := loom.OrderStream(d.edges, "random", cfg.Seed+1)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ExtensionCell{ds, "loom+restream", ipt2, rel(ipt2), imb2})
+		if err := feed(pass2, stream2); err != nil {
+			return nil, err
+		}
+		if err := add("loom+restream", pass2); err != nil {
+			return nil, err
+		}
 
-		// Offline refinement of pass 1.
-		r1, _, err := refine.Refine(p.g, a1, p.trie, refine.Config{Capacity: capC})
-		if err != nil {
-			return nil, err
+		// Offline refinement of each pass.
+		for _, r := range []struct {
+			sys string
+			p   *loom.Partitioner
+		}{{"loom+refine", pass1}, {"loom+restream+refine", pass2}} {
+			if _, err := r.p.Refine(4); err != nil {
+				return nil, err
+			}
+			if err := add(r.sys, r.p); err != nil {
+				return nil, err
+			}
 		}
-		iptR, imbR, err := eval(r1)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ExtensionCell{ds, "loom+refine", iptR, rel(iptR), imbR})
-
-		// Restream + refinement.
-		r2, _, err := refine.Refine(p.g, a2, p.trie, refine.Config{Capacity: capC})
-		if err != nil {
-			return nil, err
-		}
-		iptRR, imbRR, err := eval(r2)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ExtensionCell{ds, "loom+restream+refine", iptRR, rel(iptRR), imbRR})
 	}
 	return out, nil
 }

@@ -3,10 +3,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"text/tabwriter"
 
-	"loom/internal/graph"
+	"loom"
+
 	"loom/internal/simulate"
 )
 
@@ -27,27 +27,33 @@ type SimulationCell struct {
 }
 
 // RunSimulation partitions each dataset's BFS stream with every system and
-// simulates distributed workload execution.
+// simulates distributed workload execution under model (zero costs take
+// Simulate's defaults).
 func RunSimulation(cfg Config, model simulate.CostModel) ([]SimulationCell, error) {
 	cfg = cfg.withDefaults()
 	var out []SimulationCell
 	for _, ds := range cfg.Datasets {
-		p, err := prepare(ds, cfg)
+		d, err := load(ds, cfg)
 		if err != nil {
 			return nil, err
 		}
-		stream := graph.StreamOf(p.g, graph.OrderBFS, rand.New(rand.NewSource(cfg.Seed)))
+		stream, err := loom.OrderStream(d.edges, "bfs", cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
 		var hashRes simulate.Result
 		for _, sys := range Systems {
-			s, err := newSystem(sys, p, cfg.K, cfg.WindowSize, cfg.Threshold)
+			p, err := d.partition(sys, stream, cfg.K, cfg.WindowSize)
 			if err != nil {
 				return nil, err
 			}
-			s.ProcessEdges(stream)
-			s.Flush()
-			res, err := simulate.Run(p.g, s.Assignment(), p.wl, model, cfg.MaxMatches)
+			sim, err := p.Simulate(model.LocalCost, model.RemoteCost)
 			if err != nil {
 				return nil, err
+			}
+			res := simulate.Result{
+				LocalHops: sim.LocalHops, RemoteHops: sim.RemoteHops,
+				TotalCost: sim.TotalCost, MachineLoad: sim.MachineLoad,
 			}
 			if sys == "hash" {
 				hashRes = res
@@ -64,25 +70,6 @@ func RunSimulation(cfg Config, model simulate.CostModel) ([]SimulationCell, erro
 		}
 	}
 	return out, nil
-}
-
-// RenderMotifs prints the TPSTry++ summary for every configured dataset's
-// workload at the harness threshold — the Fig. 2-style view of what Loom
-// will treat as motifs (a workload-engineering aid).
-func RenderMotifs(w io.Writer, cfg Config) error {
-	cfg = cfg.withDefaults()
-	for _, ds := range cfg.Datasets {
-		p, err := prepare(ds, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "workload %q:\n", ds)
-		if err := p.trie.Summary(w, cfg.Threshold); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
 }
 
 // RenderSimulation writes the simulation table.

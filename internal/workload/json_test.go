@@ -2,8 +2,11 @@ package workload
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
+
+	"loom/internal/graph"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -71,4 +74,70 @@ func TestParseJSONErrors(t *testing.T) {
 			t.Errorf("%s: want error", name)
 		}
 	}
+}
+
+// labelledEdge is one pattern edge with its endpoint labels, oriented so
+// that u ≤ v: patterns are undirected.
+type labelledEdge struct {
+	u, v   int64
+	lu, lv string
+}
+
+func labelledEdges(g *graph.Graph) map[labelledEdge]bool {
+	out := map[labelledEdge]bool{}
+	for _, e := range g.Edges() {
+		lu, lv := g.EdgeLabels(e)
+		le := labelledEdge{int64(e.U), int64(e.V), string(lu), string(lv)}
+		if le.u > le.v {
+			le = labelledEdge{le.v, le.u, le.lv, le.lu}
+		}
+		out[le] = true
+	}
+	return out
+}
+
+// FuzzParseJSON feeds arbitrary bytes to the workload decoder, which reads
+// files from outside the program (loom-partition -workload-file). No input
+// may panic, and a workload it accepts must survive WriteJSON → ParseJSON
+// with equal names, frequencies and labelled edge sets.
+func FuzzParseJSON(f *testing.F) {
+	f.Add([]byte(`{"name":"custom","queries":[{"name":"step","freq":1,
+		"edges":[[1,"Entity",2,"Activity"],[2,"Activity",3,"Entity"]]}]}`))
+	for _, name := range []string{"dblp", "provgen", "musicbrainz", "lubm"} {
+		w, err := ForDataset(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, w); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		w, err := ParseJSON(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, w); err != nil {
+			t.Fatalf("accepted workload does not serialise: %v", err)
+		}
+		back, err := ParseJSON(&buf)
+		if err != nil {
+			t.Fatalf("serialised workload does not parse: %v\n%s", err, buf.Bytes())
+		}
+		if back.Name != w.Name || len(back.Queries) != len(w.Queries) {
+			t.Fatalf("round trip: %q with %d queries, want %q with %d", back.Name, len(back.Queries), w.Name, len(w.Queries))
+		}
+		for i, a := range w.Queries {
+			b := back.Queries[i]
+			if a.Name != b.Name || a.Freq != b.Freq {
+				t.Fatalf("query %d: round trip (%q, %v), want (%q, %v)", i, b.Name, b.Freq, a.Name, a.Freq)
+			}
+			if !maps.Equal(labelledEdges(a.Pattern), labelledEdges(b.Pattern)) {
+				t.Fatalf("query %q: labelled edges changed in the round trip", a.Name)
+			}
+		}
+	})
 }

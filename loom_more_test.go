@@ -1,6 +1,7 @@
 package loom_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -133,5 +134,71 @@ func TestBaselineWithoutWorkloadRefusesEvaluate(t *testing.T) {
 	}
 	if err := p.AddQuery("q", loom.Path("a", "b"), 1); err == nil {
 		t.Error("AddQuery on baseline: want error")
+	}
+}
+
+// TestMotifFreeLoomIsLDG pins LDG as Loom's exact control: with a motif
+// threshold no workload query reaches (T = 1.0), no edge enters the window,
+// every vertex is placed on first sight by Loom's LDG rule, and the
+// placements must equal NewBaseline("ldg")'s vertex for vertex. The
+// WindowedEdges == 0 premise is asserted, not assumed — at T = 0.7 dblp
+// still windows edges and the two differ.
+func TestMotifFreeLoomIsLDG(t *testing.T) {
+	const k, nu = 4, 1.02
+	for _, ds := range []string{"dblp", "provgen", "musicbrainz", "lubm"} {
+		edges, err := loom.GenerateDataset(ds, 3000, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl, err := loom.DatasetWorkload(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int64]struct{}{}
+		for _, e := range edges {
+			seen[e.U], seen[e.V] = struct{}{}, struct{}{}
+		}
+		for _, order := range []string{"bfs", "random"} {
+			stream, err := loom.OrderStream(edges, order, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := loom.Options{Partitions: k, ExpectedVertices: len(seen), ExpectedEdges: len(stream), MaxImbalance: nu}
+			ldg, err := loom.NewBaseline("ldg", opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ldg.AddBatch(stream); err != nil {
+				t.Fatal(err)
+			}
+			ldg.Flush()
+			for _, win := range []int{1, 64, 2048, 0} { // 0: the default t
+				cell := fmt.Sprintf("%s/%s/t=%d", ds, order, win)
+				o := opt
+				o.WindowSize, o.SupportThreshold = win, 1.0
+				p, err := loom.New(o, wl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.AddBatch(stream); err != nil {
+					t.Fatal(err)
+				}
+				p.Flush()
+				if st := p.Stats(); st.WindowedEdges != 0 {
+					t.Fatalf("%s: premise broken: %d edges windowed at T = 1.0", cell, st.WindowedEdges)
+				}
+				diff := 0
+				for v := range seen {
+					lp, lok := p.PartitionOf(v)
+					dp, dok := ldg.PartitionOf(v)
+					if lp != dp || lok != dok {
+						diff++
+					}
+				}
+				if diff != 0 {
+					t.Errorf("%s: %d of %d placements differ from LDG", cell, diff, len(seen))
+				}
+			}
+		}
 	}
 }
