@@ -6,13 +6,8 @@ import (
 	"fmt"
 	"sync"
 
-	"loom/internal/core"
 	"loom/internal/graph"
-	"loom/internal/partition"
-	"loom/internal/signature"
-	"loom/internal/tpstry"
 	"loom/internal/wal"
-	"loom/internal/window"
 )
 
 // WALSyncPolicy selects when the write-ahead log fsyncs (Options.WALSync).
@@ -82,11 +77,16 @@ func (f WALFailurePolicy) String() string {
 	return fmt.Sprintf("policy(%d)", int(f))
 }
 
+// errClosed refuses ingest, Sync and Checkpoint after Close.
+var errClosed = errors.New("loom: partitioner is closed")
+
 // ErrWALConfig reports that a checkpoint was written by a partitioner
 // whose Options or base workload differ from the ones passed to Open.
-// Everything that shapes placement decisions is fingerprinted (Workers is
-// deliberately exempt: placements are bit-identical across worker counts,
-// so a checkpoint is portable between them).
+// Everything that shapes placement decisions is fingerprinted, and so are
+// ExpectedEdges and DisableGraphRecording, which shape the recorded graph
+// the checkpoint carries (Workers is deliberately exempt: placements are
+// bit-identical across worker counts, so a checkpoint is portable between
+// them).
 var ErrWALConfig = errors.New("loom: checkpoint does not match Options/workload")
 
 // Typed recovery failures, re-exported from the wal layer for errors.Is.
@@ -363,7 +363,7 @@ func (p *Partitioner) Checkpoint() (int64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.walClosed {
-		return 0, fmt.Errorf("loom: partitioner is closed")
+		return 0, errClosed
 	}
 	if p.wal == nil {
 		return 0, fmt.Errorf("loom: Checkpoint requires a durable partitioner (use loom.Open with Options.WALDir)")
@@ -378,7 +378,13 @@ func (p *Partitioner) Checkpoint() (int64, error) {
 		// the chunks simply stay resident.
 		_ = p.g.Compact()
 	}
-	payload := p.encodeCheckpointLocked()
+	payload, err := p.encodeCheckpointLocked()
+	if err != nil {
+		// A spilled edge-log chunk could not be read back. Nothing is
+		// written and the sticky Err stays unset: the previous checkpoint
+		// and the log still hold the state, and ingest goes on.
+		return 0, fmt.Errorf("loom: checkpoint: %w", err)
+	}
 	n, err := p.wal.WriteCheckpoint(payload)
 	if err != nil {
 		err = fmt.Errorf("loom: checkpoint failed: %w", err)
@@ -429,7 +435,7 @@ func (p *Partitioner) Sync() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.walClosed {
-		return fmt.Errorf("loom: partitioner is closed")
+		return errClosed
 	}
 	if p.wal == nil {
 		return nil
@@ -602,9 +608,6 @@ func decodeQueryPayload(d *wal.Dec) (name string, pat *Pattern, freq float64, er
 	return name, &Pattern{g: g}, freq, nil
 }
 
-// walAppendBatch logs one batch record; a nil p.wal (non-durable) is a
-// no-op. On failure nothing must be applied: the returned error becomes
-// the caller's, and it is retained as the sticky Err.
 // errFollower rejects direct ingest into a read-only follower. It is NOT
 // retained as the sticky Err: the follower's mirrored state is perfectly
 // healthy, the caller just used the wrong door.
@@ -612,62 +615,61 @@ func errFollower() error {
 	return fmt.Errorf("loom: read-only follower: state advances via Follower.Poll, not direct ingest")
 }
 
+// walRecord is the guard every logged call passes before it encodes its
+// record: a follower refuses direct ingest, a closed partitioner refuses
+// ingest, and a non-durable one logs nothing (nil buffer, nil error).
+// Otherwise it clears the record buffer, reserves the eight bytes
+// Log.AppendFramed overwrites with the record frame, and returns it. A
+// refusal is not retained as the sticky Err here; walAppendFlush does
+// that after Close, for Flush has no error return.
+func (p *Partitioner) walRecord() (*wal.Enc, error) {
+	switch {
+	case p.follower:
+		return nil, errFollower()
+	case p.walClosed:
+		return nil, errClosed
+	case p.wal == nil:
+		return nil, nil
+	}
+	p.walEnc.B = append(p.walEnc.B[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	return &p.walEnc, nil
+}
+
+// walAppendBatch, walAppendFlush and walAppendQuery log one record each.
+// On failure nothing must be applied: the returned error becomes the
+// caller's.
 func (p *Partitioner) walAppendBatch(batch []StreamEdge) error {
-	if p.follower {
-		return errFollower()
+	e, err := p.walRecord()
+	if e == nil {
+		return err
 	}
-	if p.walClosed {
-		return fmt.Errorf("loom: partitioner is closed")
-	}
-	if p.wal == nil {
-		return nil
-	}
-	p.walLabels = encodeBatchRecord(p.walEncReset(), batch, p.walLabels)
-	return p.walAppend(p.walEnc.B)
+	p.walLabels = encodeBatchRecord(e, batch, p.walLabels)
+	return p.walAppend(e.B)
 }
 
 func (p *Partitioner) walAppendFlush() error {
-	if p.follower {
-		return errFollower()
-	}
-	if p.walClosed {
-		err := fmt.Errorf("loom: partitioner is closed")
-		if p.err == nil {
+	e, err := p.walRecord()
+	if e == nil {
+		if p.walClosed && p.err == nil {
 			p.err = err
 		}
 		return err
 	}
-	if p.wal == nil {
-		return nil
-	}
-	p.walEncReset().U8(recFlush)
-	return p.walAppend(p.walEnc.B)
+	e.U8(recFlush)
+	return p.walAppend(e.B)
 }
 
 func (p *Partitioner) walAppendQuery(name string, pat *Pattern, freq float64) error {
-	if p.follower {
-		return errFollower()
+	e, err := p.walRecord()
+	if e == nil {
+		return err
 	}
-	if p.walClosed {
-		return fmt.Errorf("loom: partitioner is closed")
-	}
-	if p.wal == nil {
-		return nil
-	}
-	e := p.walEncReset()
 	e.U8(recQuery)
 	encodeQueryPayload(e, name, pat.g, freq)
-	return p.walAppend(p.walEnc.B)
+	return p.walAppend(e.B)
 }
 
-// walEncReset clears the record encode buffer and reserves the eight
-// bytes Log.AppendFramed overwrites with the record frame.
-func (p *Partitioner) walEncReset() *wal.Enc {
-	p.walEnc.B = append(p.walEnc.B[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	return &p.walEnc
-}
-
-// walAppend hands the framed record buffer (walEncReset + payload) to the
+// walAppend hands the framed record buffer (walRecord + payload) to the
 // log. On failure, WALFailure decides: FailStop sets the sticky error and
 // nothing may be applied; DegradeToMemory trips the breaker — the record
 // is dropped, the operation applies anyway, and ingest runs memory-only
@@ -730,21 +732,22 @@ func (p *Partitioner) applyRecordLocked(payload []byte) error {
 
 // --- Checkpoint payload --------------------------------------------------
 //
-// The checkpoint is the full partitioner state in one CRC-framed payload:
-// meta (event seq, subscription flag, sticky error), the placement-shaping
-// config fingerprint, the workload (base fingerprint + AddQuery tail),
-// a trie identity check, the signature scheme's label r-values (assigned
-// in first-use order, so stream-history-dependent — see
-// signature.SchemeState), the vertex space (IDs, label names and one label
-// code per vertex — once, for every layer), the tracker, the core
-// counters, the complete window matcher state, and the recorded graph's
-// edge log as dense index pairs. Restore rebuilds each layer through its
-// own state hook and validates every cross-reference; the trie itself is
-// never serialised — it is rebuilt deterministically from the base
-// workload plus the query tail, which reproduces every node ID the window
-// state refers to.
+// The checkpoint is the full partitioner state in one CRC-framed payload.
+// This file writes its own sections — meta (event seq, subscription flag,
+// sticky error), the placement-shaping config fingerprint, the workload
+// (base fingerprint + AddQuery tail) and a trie identity check — and each
+// layer writes and validates its own section after them, through its
+// AppendState/RestoreState pair: the signature scheme's label r-values
+// (drawn in first-use order, so stream-history-dependent), then the
+// core's (the vertex space once for every layer, the tracker, the core
+// counters and the complete window matcher state), then the recorded
+// graph's edge log as dense index pairs. A spilled edge-log chunk that
+// cannot be read back fails the checkpoint with an error and writes
+// nothing. The trie itself is never serialised — it is rebuilt
+// deterministically from the base workload plus the query tail, which
+// reproduces every node ID the window section refers to.
 
-func (p *Partitioner) encodeCheckpointLocked() []byte {
+func (p *Partitioner) encodeCheckpointLocked() ([]byte, error) {
 	var e wal.Enc
 	// Meta.
 	e.U64(p.seq)
@@ -775,97 +778,16 @@ func (p *Partitioner) encodeCheckpointLocked() []byte {
 	e.I64(int64(p.trie.Size()))
 	e.I64(int64(p.trie.Version()))
 	e.F64(p.trie.TotalWeight())
-	// Signature scheme: r-values are drawn in label first-use order, so
-	// they depend on the stream history, not just (prime, seed). Restore
-	// must install these before rebuilding the query tail or the window —
-	// and fast-forward the generator so post-checkpoint labels draw the
-	// same values the uninterrupted run drew.
-	ss := p.trie.Scheme().CaptureState()
-	e.U32(uint32(len(ss.Labels)))
-	for i := range ss.Labels {
-		e.Str(string(ss.Labels[i]))
-		e.U32(ss.Values[i])
-	}
-	e.U32(uint32(ss.Draws))
-	// The vertex space every layer shares, in dense/code order.
-	ids, names, codes := p.loom.Space().Capture()
-	e.U32(uint32(len(ids)))
-	for _, id := range ids {
-		e.I64(id)
-	}
-	e.U32(uint32(len(names)))
-	for _, n := range names {
-		e.Str(n)
-	}
-	for _, c := range codes {
-		e.U16(c)
-	}
-	// Tracker.
-	ts := p.tr.CaptureState()
-	e.U32(uint32(len(ts.Parts)))
-	for _, part := range ts.Parts {
-		e.I64(int64(part))
-	}
-	for _, row := range ts.Nbrs {
-		e.U32(uint32(len(row)))
-		for _, u := range row {
-			e.U32(u)
-		}
-	}
-	e.U32(uint32(len(ts.Cnt)))
-	for _, c := range ts.Cnt {
-		e.U32(uint32(c))
-	}
-	e.I64(int64(ts.Observed))
-	// Core counters.
-	st := p.loom.Stats()
-	for _, v := range []int{
-		st.EdgesProcessed, st.SelfLoops, st.DuplicateEdges, st.ImmediateEdges,
-		st.WindowedEdges, st.Evictions, st.MatchesAssigned, st.ZeroBidRounds,
-		st.LoneEdgeRounds, st.DeferredEndpoints, st.PriorPlacements,
-	} {
-		e.I64(int64(v))
-	}
-	// Window matcher.
-	ws := p.loom.Window().CaptureState()
-	e.U64(ws.Seq)
-	e.U64(ws.MSeq)
-	e.U32(uint32(len(ws.Edges)))
-	for _, es := range ws.Edges {
-		e.U32(es.E.U)
-		e.U32(es.E.V)
-		e.U64(es.Seq)
-	}
-	e.U32(uint32(len(ws.Matches)))
-	for _, ms := range ws.Matches {
-		e.I64(int64(ms.NodeID))
-		e.U64(ms.Seq)
-		e.U32(uint32(len(ms.IEdges)))
-		for _, ie := range ms.IEdges {
-			e.U32(ie.U)
-			e.U32(ie.V)
-		}
-	}
-	// Recorded graph: the accepted-edge log as dense index pairs, replayed
-	// straight out of the compressed log (spilled chunks included). Its
-	// vertices are the space's, already written above.
+	// The layers' own sections.
+	p.trie.Scheme().AppendState(&e)
+	p.loom.AppendState(&e)
 	e.Bool(p.g != nil)
 	if p.g != nil {
-		e.U32(uint32(p.g.NumEdges()))
-		err := p.g.EachEdgeIdx(func(ui, vi uint32) error {
-			e.U32(ui)
-			e.U32(vi)
-			return nil
-		})
-		if err != nil {
-			// A spilled chunk could not be read back. The log is the
-			// durable source for the recorded graph; encoding a
-			// checkpoint that silently drops edges would corrupt every
-			// later recovery, so fail loudly.
-			panic(fmt.Sprintf("loom: checkpoint: %v", err))
+		if err := p.g.AppendState(&e); err != nil {
+			return nil, err
 		}
 	}
-	return e.B
+	return e.B, nil
 }
 
 // baseWorkloadCRC fingerprints the construction-time workload (the first
@@ -880,9 +802,16 @@ func (p *Partitioner) baseWorkloadCRC() uint32 {
 	return wal.Checksum(e.B)
 }
 
+// restoreCheckpoint loads a checkpoint payload into a fresh partitioner.
+// A config or workload mismatch fails with ErrWALConfig before any layer
+// is loaded; a layer that fails to load leaves the partitioner half
+// loaded, and the caller discards it.
 func (p *Partitioner) restoreCheckpoint(payload []byte) error {
 	d := wal.NewDec(payload)
 	fail := func(what string, err error) error {
+		if derr := d.Err(); derr != nil {
+			err = derr // a truncated section, whatever its reader made of the zeros
+		}
 		return fmt.Errorf("loom: checkpoint %s: %w", what, err)
 	}
 
@@ -949,88 +878,7 @@ func (p *Partitioner) restoreCheckpoint(payload []byte) error {
 	trieVersion := int(d.I64())
 	trieWeight := d.F64()
 
-	var ss signature.SchemeState
-	ss.Labels = make([]graph.Label, d.Len(5))
-	ss.Values = make([]uint32, len(ss.Labels))
-	for i := range ss.Labels {
-		ss.Labels[i] = graph.Label(d.Str())
-		ss.Values[i] = d.U32()
-	}
-	ss.Draws = int(d.U32())
-
-	ids := make([]int64, d.Len(8))
-	for i := range ids {
-		ids[i] = d.I64()
-	}
-	labelNames := make([]string, d.Len(4))
-	for i := range labelNames {
-		labelNames[i] = d.Str()
-	}
-	codes := make([]uint16, len(ids))
-	for i := range codes {
-		codes[i] = d.U16()
-	}
-
-	var ts partition.TrackerState
-	ts.Parts = make([]partition.ID, d.Len(8))
-	for i := range ts.Parts {
-		ts.Parts[i] = partition.ID(d.I64())
-	}
-	ts.Nbrs = make([][]uint32, len(ts.Parts))
-	for i := range ts.Nbrs {
-		row := make([]uint32, d.Len(4))
-		for j := range row {
-			row[j] = d.U32()
-		}
-		ts.Nbrs[i] = row
-	}
-	ts.Cnt = make([]int32, d.Len(4))
-	for i := range ts.Cnt {
-		ts.Cnt[i] = int32(d.U32())
-	}
-	ts.Observed = int(d.I64())
-
-	var cs core.Stats
-	for _, f := range []*int{
-		&cs.EdgesProcessed, &cs.SelfLoops, &cs.DuplicateEdges,
-		&cs.ImmediateEdges, &cs.WindowedEdges, &cs.Evictions,
-		&cs.MatchesAssigned, &cs.ZeroBidRounds, &cs.LoneEdgeRounds,
-		&cs.DeferredEndpoints, &cs.PriorPlacements,
-	} {
-		*f = int(d.I64())
-	}
-
-	var ws window.MatcherState
-	ws.Seq = d.U64()
-	ws.MSeq = d.U64()
-	ws.Edges = make([]window.EdgeState, d.Len(16))
-	for i := range ws.Edges {
-		ws.Edges[i].E.U = d.U32()
-		ws.Edges[i].E.V = d.U32()
-		ws.Edges[i].Seq = d.U64()
-	}
-	ws.Matches = make([]window.MatchState, d.Len(20))
-	for i := range ws.Matches {
-		ws.Matches[i].NodeID = int(d.I64())
-		ws.Matches[i].Seq = d.U64()
-		ie := make([]window.IEdge, d.Len(8))
-		for j := range ie {
-			ie[j].U = d.U32()
-			ie[j].V = d.U32()
-		}
-		ws.Matches[i].IEdges = ie
-	}
-
-	hasGraph := d.Bool()
-	var gedges []uint32
-	if hasGraph {
-		gedges = make([]uint32, 2*d.Len(8))
-		for i := range gedges {
-			gedges[i] = d.U32()
-		}
-	}
-
-	// Everything decoded; one truncation check before any state mutates.
+	// This file's sections decoded; check them before any layer loads.
 	if err := d.Err(); err != nil {
 		return fail("decode", err)
 	}
@@ -1047,17 +895,13 @@ func (p *Partitioner) restoreCheckpoint(payload []byte) error {
 		return fmt.Errorf("loom: base workload fingerprint %08x does not match checkpoint %08x: %w",
 			got, baseCRC, ErrWALConfig)
 	}
-	if hasGraph != (p.g != nil) {
-		return fail("graph section", fmt.Errorf("presence %v does not match options", hasGraph))
-	}
 
-	// Apply, bottom-up. Order matters: the signature scheme before the
-	// query tail (AddQuery computes trie deltas through it — a tail query
-	// whose labels the primary first met mid-stream must see the primary's
-	// r-values, not fresh draws); intern tables before anything that
-	// indexes by dense vertex; the trie's query tail before the window's
-	// matches (which reference the rebuilt nodes by ID).
-	if err := p.trie.Scheme().RestoreState(ss); err != nil {
+	// Load, in payload order. The signature scheme comes before the query
+	// tail (AddQuery computes trie deltas through it — a tail query whose
+	// labels the primary first met mid-stream must see the primary's
+	// r-values, not fresh draws), and the tail before the core (whose
+	// window matches reference the rebuilt trie nodes by ID).
+	if err := p.trie.Scheme().RestoreState(d); err != nil {
 		return fail("signature scheme", err)
 	}
 	for _, q := range tail {
@@ -1069,26 +913,19 @@ func (p *Partitioner) restoreCheckpoint(payload []byte) error {
 		return fail("trie identity", fmt.Errorf("rebuilt trie (size %d, version %d, weight %g) does not match checkpoint (size %d, version %d, weight %g)",
 			p.trie.Size(), p.trie.Version(), p.trie.TotalWeight(), trieSize, trieVersion, trieWeight))
 	}
-	if err := p.loom.Space().Restore(ids, labelNames, codes); err != nil {
-		return fail("vertex space", err)
-	}
-	if err := p.tr.RestoreState(ts); err != nil {
-		return fail("tracker", err)
-	}
-	if err := p.loom.RestoreStats(cs); err != nil {
+	if err := p.loom.RestoreState(d); err != nil {
 		return fail("core", err)
 	}
-	nodeByID := make(map[int]*tpstry.Node, p.trie.Size())
-	for _, n := range p.trie.Nodes() {
-		nodeByID[n.ID] = n
-	}
-	if err := p.loom.Window().RestoreState(ws, nodeByID); err != nil {
-		return fail("window", err)
+	if hasGraph := d.Bool(); hasGraph != (p.g != nil) {
+		return fail("graph section", fmt.Errorf("presence %v does not match options", hasGraph))
 	}
 	if p.g != nil {
-		if err := p.g.RestoreEdges(gedges); err != nil {
+		if err := p.g.RestoreState(d); err != nil {
 			return fail("recorded graph", err)
 		}
+	}
+	if err := d.Err(); err != nil {
+		return fail("decode", err)
 	}
 	p.seq = seq
 	if hasErr {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"path/filepath"
 
 	"loom/internal/wal"
@@ -249,22 +250,31 @@ func (v logView) readChunk(i int, c logChunk) ([]byte, error) {
 	return data, nil
 }
 
-// eachChunk decodes one self-contained chunk payload.
+// eachChunk decodes one self-contained chunk payload. Spilled payloads
+// come back from disk, so every varint is checked — present, not
+// overflowing, below 2³² — before the cursor moves past it.
 func eachChunk(data []byte, n int, fn func(ui, vi uint32) error) error {
 	i := 0
 	for k := 0; k < n; k++ {
 		u, nu := binary.Uvarint(data[i:])
+		if nu <= 0 || u > math.MaxUint32 {
+			return corruptChunk(k, n)
+		}
 		i += nu
 		v, nv := binary.Uvarint(data[i:])
-		i += nv
-		if nu <= 0 || nv <= 0 {
-			return fmt.Errorf("graph: corrupt edge log chunk (edge %d of %d)", k, n)
+		if nv <= 0 || v > math.MaxUint32 {
+			return corruptChunk(k, n)
 		}
+		i += nv
 		if err := fn(uint32(u), uint32(v)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func corruptChunk(k, n int) error {
+	return fmt.Errorf("graph: corrupt edge log chunk (edge %d of %d)", k, n)
 }
 
 // clone deep-copies the log's mutable state. Frozen chunk payloads are

@@ -509,21 +509,31 @@ func (g *Graph) EachEdge(fn func(Edge) error) error {
 	})
 }
 
-// EachEdgeIdx is EachEdge over dense vertex indices, in stream
-// orientation: the edge log as recorded.
-func (g *Graph) EachEdgeIdx(fn func(ui, vi uint32) error) error { return g.log.view().each(fn) }
+// AppendState writes the graph's checkpoint section: the edge log as
+// dense index pairs in stream orientation, replayed straight out of the
+// compressed log. Its vertices and labels are the space's, which the
+// caller writes. A spilled chunk that cannot be read back is returned as
+// an error, with a partial section left in e.
+func (g *Graph) AppendState(e *wal.Enc) error {
+	e.U32(uint32(g.log.n))
+	return g.log.view().each(func(ui, vi uint32) error {
+		e.U32(ui)
+		e.U32(vi)
+		return nil
+	})
+}
 
-// RestoreEdges loads an edge log, as EachEdgeIdx reports it (flat index
-// pairs), into an empty graph whose space already holds every vertex and
-// label. Each pair must name two distinct labelled vertices of the space
-// and must not repeat an earlier one.
-func (g *Graph) RestoreEdges(pairs []uint32) error {
-	if g.log.n != 0 || len(pairs)%2 != 0 {
-		return fmt.Errorf("graph: RestoreEdges needs an empty graph and index pairs (%d edges, %d indices)", g.log.n, len(pairs))
+// RestoreState reads an AppendState section into an empty graph whose
+// space already holds every vertex and label. Each pair must name two
+// distinct labelled vertices of the space and must not repeat an earlier
+// one.
+func (g *Graph) RestoreState(d *wal.Dec) error {
+	if g.log.n != 0 {
+		return fmt.Errorf("graph: RestoreState on a non-empty graph (%d edges)", g.log.n)
 	}
 	g.cover()
-	for k := 0; k < len(pairs); k += 2 {
-		ui, vi := pairs[k], pairs[k+1]
+	for k := d.Len(8); k > 0; k-- {
+		ui, vi := d.U32(), d.U32()
 		for _, i := range [2]uint32{ui, vi} {
 			if _, ok := g.sp.Code(i); !ok || int(i) >= len(g.adj) {
 				return fmt.Errorf("graph: restored edge %d-%d: %d is not a labelled vertex", ui, vi, i)
@@ -536,7 +546,7 @@ func (g *Graph) RestoreEdges(pairs []uint32) error {
 			return fmt.Errorf("graph: restored edge %d-%d is a duplicate", ui, vi)
 		}
 	}
-	return nil
+	return d.Err()
 }
 
 // Edges returns all edges in insertion order. The returned slice is a

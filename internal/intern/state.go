@@ -1,47 +1,66 @@
 package intern
 
-import "fmt"
+import (
+	"fmt"
 
-// Capture returns the space's checkpointable state: the vertex IDs in
+	"loom/internal/wal"
+)
+
+// AppendState writes the space's checkpoint section: the vertex IDs in
 // dense order, the label names in code order and one label code per
 // vertex (unlabelled vertices included).
-func (s *Space) Capture() (ids []int64, names []string, codes []uint16) {
-	ids = s.verts.IDs()
-	codes = make([]uint16, len(ids))
-	for i := copy(codes, s.codes); i < len(codes); i++ {
-		codes[i] = noCode
+func (s *Space) AppendState(e *wal.Enc) {
+	ids := s.verts.IDs()
+	e.U32(uint32(len(ids)))
+	for _, id := range ids {
+		e.I64(id)
 	}
-	return ids, s.labels.Names(), codes
+	names := s.labels.Names()
+	e.U32(uint32(len(names)))
+	for _, n := range names {
+		e.Str(n)
+	}
+	for i := range ids {
+		c := noCode
+		if i < len(s.codes) {
+			c = s.codes[i]
+		}
+		e.U16(c)
+	}
 }
 
-// Restore loads a captured state into an empty space. Re-interning ids
-// and names in order reproduces every dense index and label code; a
-// duplicate (which would shift all later ones), a code outside the label
-// table, or a code count that does not match the vertex count is
-// rejected.
-func (s *Space) Restore(ids []int64, names []string, codes []uint16) error {
+// RestoreState reads an AppendState section into an empty space.
+// Re-interning the IDs and names in order reproduces every dense index
+// and label code; a duplicate (which would shift all later ones), an
+// alphabet past MaxLabels or a code outside the label table is rejected.
+func (s *Space) RestoreState(d *wal.Dec) error {
 	if s.verts.Len() != 0 || s.labels.Len() != 0 {
-		return fmt.Errorf("intern: Restore on a non-empty space (%d vertices, %d labels)", s.verts.Len(), s.labels.Len())
+		return fmt.Errorf("intern: RestoreState on a non-empty space (%d vertices, %d labels)", s.verts.Len(), s.labels.Len())
 	}
-	if len(codes) != len(ids) {
-		return fmt.Errorf("intern: %d label codes for %d vertices", len(codes), len(ids))
+	n := d.Len(8)
+	for i := 0; i < n; i++ {
+		id := d.I64()
+		if got := s.verts.Intern(id); int(got) != i {
+			return fmt.Errorf("intern: vertex %d duplicated in restored ID list (index %d vs %d)", id, got, i)
+		}
 	}
-	if len(names) > MaxLabels {
-		return fmt.Errorf("intern: %d labels exceed the alphabet bound %d", len(names), MaxLabels)
+	nl := d.Len(4)
+	if nl > MaxLabels {
+		return fmt.Errorf("intern: %d labels exceed the alphabet bound %d", nl, MaxLabels)
 	}
-	for i, name := range names {
+	for i := 0; i < nl; i++ {
+		name := d.Str()
 		if got := s.labels.Intern(name); int(got) != i {
 			return fmt.Errorf("intern: label %q duplicated in restored name list (code %d vs %d)", name, got, i)
 		}
 	}
-	for i, id := range ids {
-		if got := s.verts.Intern(id); int(got) != i {
-			return fmt.Errorf("intern: vertex %d duplicated in restored ID list (index %d vs %d)", id, got, i)
+	s.codes = s.codes[:0]
+	for i := 0; i < n; i++ {
+		c := d.U16()
+		if c != noCode && int(c) >= nl {
+			return fmt.Errorf("intern: vertex %d has label code %d beyond the %d labels", s.verts.ID(uint32(i)), c, nl)
 		}
-		if c := codes[i]; c != noCode && int(c) >= len(names) {
-			return fmt.Errorf("intern: vertex %d has label code %d beyond the %d labels", id, c, len(names))
-		}
+		s.codes = append(s.codes, c)
 	}
-	s.codes = append(s.codes[:0], codes...)
-	return nil
+	return d.Err()
 }

@@ -110,17 +110,24 @@ func Refine(g *graph.Graph, a *partition.Assignment, trie *tpstry.Trie, cfg Conf
 		return parts[i]
 	}
 
-	cut := func() float64 {
+	// cut replays the edge log, so a spilled chunk that cannot be read
+	// back is an error.
+	cut := func() (float64, error) {
 		total := 0.0
-		for _, e := range g.Edges() {
+		err := g.EachEdge(func(e graph.Edge) error {
 			if lookup(e.U) != lookup(e.V) {
 				total += weight(e)
 			}
-		}
-		return total
+			return nil
+		})
+		return total, err
 	}
 
-	st := Stats{CutBefore: cut()}
+	var st Stats
+	var err error
+	if st.CutBefore, err = cut(); err != nil {
+		return nil, Stats{}, err
+	}
 
 	// Deterministic sweep order: vertices sorted by ID.
 	order := g.Vertices()
@@ -174,6 +181,8 @@ func Refine(g *graph.Graph, a *partition.Assignment, trie *tpstry.Trie, cfg Conf
 		}
 	}
 
-	st.CutAfter = cut()
+	if st.CutAfter, err = cut(); err != nil {
+		return nil, Stats{}, err
+	}
 	return partition.NewAssignmentFrom(a.K, tbl, parts), st, nil
 }

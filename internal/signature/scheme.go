@@ -25,9 +25,11 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"loom/internal/graph"
+	"loom/internal/wal"
 )
 
 // DefaultP is the prime modulus Loom uses when identifying and matching
@@ -71,7 +73,7 @@ type Scheme struct {
 	p     uint32
 	seed  int64
 	rng   *rand.Rand
-	draws int // values drawn from rng so far (see CaptureState)
+	draws int // values drawn from rng so far (see AppendState)
 	rvals map[graph.Label]uint32
 }
 
@@ -120,54 +122,37 @@ func (s *Scheme) LabelValue(l graph.Label) uint32 {
 	return v
 }
 
-// SchemeState is the restorable label-value state of a Scheme: every
-// assigned r(l) plus the generator position. r-values are drawn in
-// first-use order, so the assignment depends on the label arrival history,
-// not just (p, seed) — a Scheme rebuilt from the same workload but a
-// different stream prefix gives different values to stream-only labels.
-// Checkpoints therefore persist this state; Draws lets restore fast-forward
-// the generator so labels first seen *after* the checkpoint also draw the
-// values the uninterrupted run would have drawn.
-type SchemeState struct {
-	Labels []graph.Label // sorted, for a deterministic encoding
-	Values []uint32      // Values[i] = r(Labels[i])
-	Draws  int
-}
-
-// CaptureState snapshots the scheme's assigned label values and generator
-// position.
-func (s *Scheme) CaptureState() SchemeState {
-	st := SchemeState{
-		Labels: make([]graph.Label, 0, len(s.rvals)),
-		Values: make([]uint32, 0, len(s.rvals)),
-		Draws:  s.draws,
-	}
+// AppendState writes the scheme's checkpoint section: every assigned
+// r(l), by sorted label for a deterministic encoding, then the generator
+// position. r-values are drawn in first-use order, so the assignment
+// depends on the label arrival history, not just (p, seed) — a Scheme
+// rebuilt from the same workload but a different stream prefix gives
+// different values to stream-only labels. The draw count lets restore
+// fast-forward the generator so labels first seen *after* the checkpoint
+// also draw the values the uninterrupted run would have drawn.
+func (s *Scheme) AppendState(e *wal.Enc) {
+	labels := make([]graph.Label, 0, len(s.rvals))
 	for l := range s.rvals {
-		st.Labels = append(st.Labels, l)
+		labels = append(labels, l)
 	}
-	sort.Slice(st.Labels, func(i, j int) bool { return st.Labels[i] < st.Labels[j] })
-	for _, l := range st.Labels {
-		st.Values = append(st.Values, s.rvals[l])
+	slices.Sort(labels)
+	e.U32(uint32(len(labels)))
+	for _, l := range labels {
+		e.Str(string(l))
+		e.U32(s.rvals[l])
 	}
-	return st
+	e.U32(uint32(s.draws))
 }
 
 // RestoreState replaces the scheme's label values and generator position
-// with a captured snapshot. The scheme must have been built with the same
-// (p, seed) as the captured one; values are validated against [1, p).
-func (s *Scheme) RestoreState(st SchemeState) error {
-	if len(st.Labels) != len(st.Values) {
-		return fmt.Errorf("signature: state has %d labels but %d values", len(st.Labels), len(st.Values))
-	}
-	// Every draw assigns one label its value, so a draw count past the
-	// label count is corrupt — and would fast-forward the generator
-	// through up to 2^31 values.
-	if st.Draws < 0 || st.Draws > len(st.Labels) {
-		return fmt.Errorf("signature: draw count %d outside [0, %d labels]", st.Draws, len(st.Labels))
-	}
-	rvals := make(map[graph.Label]uint32, len(st.Labels))
-	for i, l := range st.Labels {
-		v := st.Values[i]
+// with an AppendState section. The scheme must have been built with the
+// same (p, seed) as the encoded one; values are validated against [1, p).
+// A rejected section leaves the scheme as it was.
+func (s *Scheme) RestoreState(d *wal.Dec) error {
+	n := d.Len(5)
+	rvals := make(map[graph.Label]uint32, n)
+	for i := 0; i < n; i++ {
+		l, v := graph.Label(d.Str()), d.U32()
 		if v < 1 || v >= s.p {
 			return fmt.Errorf("signature: label %q value %d out of range [1,%d)", l, v, s.p)
 		}
@@ -176,11 +161,21 @@ func (s *Scheme) RestoreState(st SchemeState) error {
 		}
 		rvals[l] = v
 	}
+	// Every draw assigns one label its value, so a draw count past the
+	// label count is corrupt — and would fast-forward the generator
+	// through up to 2^32 values.
+	draws := int(d.U32())
+	if draws > n {
+		return fmt.Errorf("signature: draw count %d outside [0, %d labels]", draws, n)
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
 	s.rng = rand.New(rand.NewSource(s.seed))
-	for i := 0; i < st.Draws; i++ {
+	for i := 0; i < draws; i++ {
 		s.rng.Intn(int(s.p - 1))
 	}
-	s.draws = st.Draws
+	s.draws = draws
 	s.rvals = rvals
 	return nil
 }

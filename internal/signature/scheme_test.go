@@ -1,11 +1,13 @@
 package signature
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"loom/internal/graph"
+	"loom/internal/wal"
 )
 
 // paperScheme reproduces §2.1's worked example: p = 11, r(a) = 3, r(b) = 10.
@@ -235,7 +237,7 @@ func randomLabelled(r *rand.Rand, n, extra int) *graph.Graph {
 	return g
 }
 
-// TestSchemeStateRoundTrip: restoring a captured state onto a fresh
+// TestSchemeStateRoundTrip: restoring an encoded state onto a fresh
 // (p, seed)-identical Scheme must reproduce every assigned r-value AND
 // the generator position, so labels first used after the restore draw
 // exactly what the original scheme would have drawn. Values are assigned
@@ -246,16 +248,22 @@ func TestSchemeStateRoundTrip(t *testing.T) {
 	for _, l := range []graph.Label{"Paper", "Person", "Journal", "Venue"} {
 		orig.LabelValue(l)
 	}
-	st := orig.CaptureState()
-	if len(st.Labels) != 4 || st.Draws != 4 {
-		t.Fatalf("captured %d labels, %d draws; want 4, 4", len(st.Labels), st.Draws)
+	var e wal.Enc
+	orig.AppendState(&e)
+	labels, draws := binary.LittleEndian.Uint32(e.B), binary.LittleEndian.Uint32(e.B[len(e.B)-4:])
+	if labels != 4 || draws != 4 {
+		t.Fatalf("encoded %d labels, %d draws; want 4, 4", labels, draws)
 	}
 
 	fresh := NewScheme(DefaultP, 7)
 	// The fresh scheme has its own short, different history.
 	fresh.LabelValue("Paper")
-	if err := fresh.RestoreState(st); err != nil {
+	d := wal.NewDec(e.B)
+	if err := fresh.RestoreState(d); err != nil {
 		t.Fatal(err)
+	}
+	if d.Remaining() != 0 {
+		t.Fatalf("restore left %d bytes of the section unread", d.Remaining())
 	}
 	for _, l := range []graph.Label{"Paper", "Person", "Journal", "Venue"} {
 		if got, want := fresh.LabelValue(l), orig.LabelValue(l); got != want {
@@ -271,19 +279,34 @@ func TestSchemeStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSchemeStateRejectsBadValues: out-of-range values, duplicate labels
-// and mismatched lengths are construction-time errors, not latent state.
+// TestSchemeStateRejectsBadValues: out-of-range values, duplicate labels,
+// a section cut short of its values and a draw count past the label
+// count are restore-time errors, not latent state.
 func TestSchemeStateRejectsBadValues(t *testing.T) {
+	// section encodes a label count, then each label with the value at the
+	// same index while there is one, then the draw count.
+	section := func(labels []string, values []uint32, draws uint32) []byte {
+		var e wal.Enc
+		e.U32(uint32(len(labels)))
+		for i, l := range labels {
+			e.Str(l)
+			if i < len(values) {
+				e.U32(values[i])
+			}
+		}
+		e.U32(draws)
+		return e.B
+	}
 	s := NewScheme(11, 1)
-	for _, st := range []SchemeState{
-		{Labels: []graph.Label{"a"}, Values: []uint32{0}},
-		{Labels: []graph.Label{"a"}, Values: []uint32{11}},
-		{Labels: []graph.Label{"a", "a"}, Values: []uint32{3, 4}},
-		{Labels: []graph.Label{"a", "b"}, Values: []uint32{3}},
-		{Labels: []graph.Label{"a"}, Values: []uint32{3}, Draws: -1},
+	for _, b := range [][]byte{
+		section([]string{"a"}, []uint32{0}, 0),
+		section([]string{"a"}, []uint32{11}, 0),
+		section([]string{"a", "a"}, []uint32{3, 4}, 0),
+		section([]string{"a", "b"}, []uint32{3}, 0),
+		section([]string{"a"}, []uint32{3}, ^uint32(0)), // -1 as written
 	} {
-		if err := s.RestoreState(st); err == nil {
-			t.Fatalf("RestoreState(%+v): want error", st)
+		if err := s.RestoreState(wal.NewDec(b)); err == nil {
+			t.Fatalf("RestoreState(% x): want error", b)
 		}
 	}
 	// A rejected restore must not have clobbered the scheme.

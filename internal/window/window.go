@@ -907,7 +907,13 @@ func (w *Matcher) addMatch(m *Match, node *tpstry.Node) (*Match, bool) {
 			}
 		}
 	}
-	// Distinct vertices, sorted, with the in-match degree vector.
+	m.deriveVerts()
+	return w.record(m)
+}
+
+// deriveVerts fills m's distinct vertices, sorted, and its in-match
+// degree vector from its edge set.
+func (m *Match) deriveVerts() {
 	for _, e := range m.iedges {
 		m.verts = append(m.verts, e.U, e.V)
 	}
@@ -922,7 +928,6 @@ func (w *Matcher) addMatch(m *Match, node *tpstry.Node) (*Match, bool) {
 		j, _ := slices.BinarySearch(m.verts, e.V)
 		m.degs[j]++
 	}
-	return w.record(m)
 }
 
 // record registers a fully-canonical match — iedges/verts/degs sorted and
@@ -938,6 +943,13 @@ func (w *Matcher) record(m *Match) (*Match, bool) {
 	}
 	w.mseq++
 	m.seq = w.mseq
+	w.link(m)
+	return m, true
+}
+
+// link makes m live: it joins the byVertex list of each of its vertices
+// and the match list of each of its edges, after every match of lower seq.
+func (w *Matcher) link(m *Match) {
 	w.live++
 	for _, v := range m.verts {
 		w.byVertex[v] = addMatchRef(w.byVertex[v], m)
@@ -946,7 +958,6 @@ func (w *Matcher) record(m *Match) (*Match, bool) {
 		slot := w.edges.get(packIEdge(e))
 		slot.Val.matches = addMatchRef(slot.Val.matches, m)
 	}
-	return m, true
 }
 
 // addMatchRef appends one match-list reference, seeding a fresh list with

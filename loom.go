@@ -96,8 +96,10 @@ type Options struct {
 	// ExpectedVertices sizes the per-partition capacity C = ν·n/k
 	// (required; streaming balance needs a capacity estimate, §4).
 	ExpectedVertices int
-	// ExpectedEdges is used by the Fennel baseline's α (optional; ignored
-	// by Loom itself).
+	// ExpectedEdges (optional) pre-sizes the recorded graph's
+	// duplicate-edge set and is the edge count in the Fennel baseline's α.
+	// It does not change Loom's placements, but a checkpoint fingerprints
+	// it: Open with another value fails with ErrWALConfig.
 	ExpectedEdges int
 	// WindowSize is the sliding window t in edges (default 10_000).
 	WindowSize int
@@ -396,7 +398,7 @@ type Partitioner struct {
 	// follower marks a read-only replica built by Follow: direct ingest is
 	// refused; state advances only through Follower.Poll.
 	follower  bool
-	walEnc    wal.Enc  // record staging; starts with the 8-byte frame hole (walEncReset)
+	walEnc    wal.Enc  // record staging; starts with the 8-byte frame hole (walRecord)
 	walLabels []string // label-table scratch reused across batch records
 	// baseQueries is the length of the construction-time workload; queries
 	// beyond it arrived via AddQuery and are checkpointed as a replayable
@@ -1093,7 +1095,10 @@ func (p *Partitioner) Evaluate() (Evaluation, error) {
 	}
 	// No lock held from here: flatten the epoch and replay the graph.
 	a := e.Materialise()
-	g := replayRecorded(rec)
+	g, err := replayRecorded(rec)
+	if err != nil {
+		return Evaluation{}, err
+	}
 	res, err := workload.Execute(g, a, iwl, workload.Options{})
 	if err != nil {
 		return Evaluation{}, err
@@ -1129,21 +1134,22 @@ func (p *Partitioner) captureEval(op string) (graph.Replay, *partition.Epoch, wo
 // degenerate inputs (self-loops, corrupt edges) may have interned
 // isolated vertices in the live graph that the replay omits — they have
 // no edges, so no workload pattern reaches them and every evaluation
-// metric is unchanged.
-func replayRecorded(rec graph.Replay) *graph.Graph {
+// metric is unchanged. A spilled log chunk that cannot be read back is
+// returned as an error.
+func replayRecorded(rec graph.Replay) (*graph.Graph, error) {
 	g := graph.New()
 	err := rec.Each(func(e graph.StreamEdge) error {
 		if _, err := g.EnsureEdge(e.U, e.LU, e.V, e.LV); err != nil {
 			// The log holds only edges the recorded graph accepted;
 			// replaying them cannot conflict.
-			return fmt.Errorf("loom: corrupt accepted-edge log: %w", err)
+			return fmt.Errorf("corrupt accepted-edge log: %w", err)
 		}
 		return nil
 	})
 	if err != nil {
-		panic(err.Error())
+		return nil, fmt.Errorf("loom: replay recorded graph: %w", err)
 	}
-	return g
+	return g, nil
 }
 
 // RefineStats reports an offline refinement run (see Refine).
@@ -1162,41 +1168,7 @@ type RefineStats struct {
 // Evaluate calls observe the refined placement, but the streaming state is
 // finished: call only after Flush.
 func (p *Partitioner) Refine(maxPasses int) (RefineStats, error) {
-	p.mu.RLock()
-	if p.g == nil {
-		p.mu.RUnlock()
-		return RefineStats{}, fmt.Errorf("loom: graph recording disabled; Refine unavailable")
-	}
-	if p.wl == nil || p.wl.Len() == 0 {
-		p.mu.RUnlock()
-		return RefineStats{}, fmt.Errorf("loom: no workload to refine against")
-	}
-	trie := p.trie
-	if trie == nil {
-		// Baselines carry a workload but no trie; build one.
-		scheme := signature.NewScheme(p.opt.SignaturePrime, p.opt.Seed)
-		t, err := p.wl.internal().BuildTrie(scheme)
-		if err != nil {
-			p.mu.RUnlock()
-			return RefineStats{}, err
-		}
-		trie = t
-	}
-	// Refinement runs on a clone of the graph and a materialised copy of
-	// the published assignment (sharing the vertex table read-only), but it
-	// also reads the live trie — which a concurrent AddQuery may mutate —
-	// so the read lock is held for the whole pass: concurrent reads
-	// proceed, ingest mutations wait (Refine is a post-Flush operation;
-	// there should be none). The result is swapped in atomically below.
-	g := p.g.Clone()
-	a := p.view.Load().Materialise()
-	obs := p.tr.ObservedEdges()
-	opt := p.opt
-	refined, st, err := refine.Refine(g, a, trie, refine.Config{
-		Capacity:  partition.CapacityFor(opt.ExpectedVertices, opt.Partitions, opt.MaxImbalance),
-		MaxPasses: maxPasses,
-	})
-	p.mu.RUnlock()
+	refined, st, obs, err := p.refineRLocked(maxPasses)
 	if err != nil {
 		return RefineStats{}, err
 	}
@@ -1216,6 +1188,39 @@ func (p *Partitioner) Refine(maxPasses int) (RefineStats, error) {
 	p.refined = partition.NewEpoch(refined)
 	p.publishLocked() // swap the lock-free read surface to the refined view
 	return RefineStats{Passes: st.Passes, Moves: st.Moves, CutBefore: st.CutBefore, CutAfter: st.CutAfter}, nil
+}
+
+// refineRLocked is Refine's refinement pass. Refinement runs on a clone of
+// the graph and a materialised copy of the published assignment (sharing
+// the vertex table read-only), but it also reads the live trie — which a
+// concurrent AddQuery may mutate — so the read lock is held for the whole
+// pass: concurrent reads proceed, ingest mutations wait (Refine is a
+// post-Flush operation; there should be none). obs is the observed-edge
+// count the pass started from.
+func (p *Partitioner) refineRLocked(maxPasses int) (*partition.Assignment, refine.Stats, int, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.g == nil {
+		return nil, refine.Stats{}, 0, fmt.Errorf("loom: graph recording disabled; Refine unavailable")
+	}
+	if p.wl == nil || p.wl.Len() == 0 {
+		return nil, refine.Stats{}, 0, fmt.Errorf("loom: no workload to refine against")
+	}
+	trie := p.trie
+	if trie == nil {
+		// Baselines carry a workload but no trie; build one.
+		scheme := signature.NewScheme(p.opt.SignaturePrime, p.opt.Seed)
+		t, err := p.wl.internal().BuildTrie(scheme)
+		if err != nil {
+			return nil, refine.Stats{}, 0, err
+		}
+		trie = t
+	}
+	refined, st, err := refine.Refine(p.g.Clone(), p.view.Load().Materialise(), trie, refine.Config{
+		Capacity:  partition.CapacityFor(p.opt.ExpectedVertices, p.opt.Partitions, p.opt.MaxImbalance),
+		MaxPasses: maxPasses,
+	})
+	return refined, st, p.tr.ObservedEdges(), err
 }
 
 // Restream returns a fresh Loom partitioner that uses this partitioner's
@@ -1271,7 +1276,10 @@ func (p *Partitioner) Simulate(localCost, remoteCost float64) (Simulation, error
 		return Simulation{}, err
 	}
 	a := e.Materialise()
-	g := replayRecorded(rec)
+	g, err := replayRecorded(rec)
+	if err != nil {
+		return Simulation{}, err
+	}
 	res, err := simulate.Run(g, a, iwl,
 		simulate.CostModel{LocalCost: localCost, RemoteCost: remoteCost}, 0)
 	if err != nil {

@@ -15,6 +15,8 @@ package loom
 import (
 	"fmt"
 	"hash/fnv"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -310,5 +312,66 @@ func TestFaultSweepCheckpointWrite(t *testing.T) {
 	}
 	if got := faultHash(p2); got != golden.at(half).hash {
 		t.Fatal("checkpoint-only recovery diverged")
+	}
+}
+
+// TestLostSpillChunkIsAnError: a spilled edge-log chunk that disappears
+// from the spill directory makes every call that replays the recorded
+// graph fail with an error instead of a panic, and a failed checkpoint
+// writes nothing and leaves the partitioner ingesting.
+func TestLostSpillChunkIsAnError(t *testing.T) {
+	wl, err := DatasetWorkload("dblp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, err := GenerateDataset("dblp", 3000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walDir, spillDir := t.TempDir(), t.TempDir()
+	p, _, err := Open(Options{Partitions: 4, ExpectedVertices: 3000, WALDir: walDir, SpillDir: spillDir}, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.AddBatch(edges); err != nil {
+		t.Fatal(err)
+	}
+	p.Flush()
+	chunks, _ := filepath.Glob(filepath.Join(spillDir, "elog-*.chk"))
+	if len(chunks) == 0 {
+		t.Fatalf("%d edges spilled no edge-log chunk", len(edges))
+	}
+	for _, c := range chunks {
+		if err := os.Remove(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, err := p.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint with a lost chunk: want error")
+	}
+	if ckpts, _ := filepath.Glob(filepath.Join(walDir, "*.ckpt")); len(ckpts) != 0 {
+		t.Fatalf("failed Checkpoint wrote %v", ckpts)
+	}
+	if err := p.Err(); err != nil {
+		t.Fatalf("failed Checkpoint latched the sticky Err: %v", err)
+	}
+	if err := p.AddBatch([]StreamEdge{{U: 1 << 40, LU: "Person", V: 1<<40 + 1, LV: "Paper"}}); err != nil {
+		t.Fatalf("AddBatch after a failed Checkpoint: %v", err)
+	}
+	if _, err := p.Evaluate(); err == nil {
+		t.Error("Evaluate with a lost chunk: want error")
+	}
+	if _, err := p.Simulate(1, 1000); err == nil {
+		t.Error("Simulate with a lost chunk: want error")
+	}
+	if _, err := p.Refine(2); err == nil {
+		t.Error("Refine with a lost chunk: want error")
+	}
+	// Refine released its read lock: ingest still goes through.
+	p.Flush()
+	if err := p.Err(); err != nil {
+		t.Fatalf("sticky Err after the failed replays: %v", err)
 	}
 }

@@ -609,6 +609,16 @@ func TestClosedPartitionerRefusesIngest(t *testing.T) {
 	if _, err := p.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint after Close must fail")
 	}
+	if err := p.AddQuery("late", loom.Path("Person", "Paper"), 0.1); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("AddQuery after Close = %v, want a closed error", err)
+	}
+	if err := p.Err(); err != nil {
+		t.Fatalf("refused AddBatch/AddQuery latched the sticky Err: %v", err)
+	}
+	p.Flush()
+	if err := p.Err(); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("Flush after Close: sticky Err = %v, want a closed error", err)
+	}
 	if got, _ := snapshotHash(p); got != wantHash {
 		t.Fatal("reads changed after Close")
 	}

@@ -6,6 +6,8 @@ package loom
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
@@ -153,7 +155,10 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	seed := func(record bool, build func(p *Partitioner)) {
 		p := fresh(f, record)
 		build(p)
-		payload := p.encodeCheckpointLocked()
+		payload, err := p.encodeCheckpointLocked()
+		if err != nil {
+			f.Fatal(err)
+		}
 		if err := fresh(f, record).restoreCheckpoint(payload); err != nil {
 			f.Fatalf("seed does not restore: %v", err)
 		}
@@ -186,14 +191,93 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			if p.restoreCheckpoint(payload) != nil {
 				continue
 			}
-			enc := p.encodeCheckpointLocked()
+			enc, err := p.encodeCheckpointLocked()
+			if err != nil {
+				t.Fatal(err)
+			}
 			q := fresh(t, record)
 			if err := q.restoreCheckpoint(enc); err != nil {
 				t.Fatalf("recording=%v: re-encoded checkpoint does not restore: %v", record, err)
 			}
-			if again := q.encodeCheckpointLocked(); !bytes.Equal(enc, again) {
+			if again, err := q.encodeCheckpointLocked(); err != nil || !bytes.Equal(enc, again) {
 				t.Fatalf("recording=%v: encoding is not a fixed point (%d vs %d bytes)", record, len(enc), len(again))
 			}
 		}
 	})
+}
+
+// TestCheckpointBytesGolden pins the checkpoint payload byte for byte:
+// each layer encodes its own section, and moving a field, changing a
+// width or reordering a section changes these hashes. The setups cover
+// an empty window, live matches, a query tail, recording off and a
+// subscribed partitioner carrying a sticky error.
+func TestCheckpointBytesGolden(t *testing.T) {
+	_, edges, opt := faultStream(t)
+	opt.WALDir = ""
+	opt.Workers = 1
+	ingest := func(t *testing.T, p *Partitioner, es []StreamEdge) {
+		t.Helper()
+		if err := p.AddBatch(es); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		workers int
+		record  bool
+		build   func(t *testing.T, p *Partitioner)
+		size    int
+		sum     string
+	}{
+		{"flushed", 1, true, func(t *testing.T, p *Partitioner) { ingest(t, p, edges); p.Flush() },
+			5067, "636bc1bac6569efaceceac6740c547fb06722c6b91236c19653764784400f95f"},
+		{"midstream", 1, true, func(t *testing.T, p *Partitioner) { ingest(t, p, edges) },
+			9183, "d881fec94d811bb43067fa2ce729e8cbabec7cd702d868294d0201e5a7dd8568"},
+		{"midstream", 4, true, func(t *testing.T, p *Partitioner) { ingest(t, p, edges) },
+			9183, "d881fec94d811bb43067fa2ce729e8cbabec7cd702d868294d0201e5a7dd8568"},
+		{"tail", 1, true, func(t *testing.T, p *Partitioner) {
+			ingest(t, p, edges[:60])
+			if err := p.AddQuery("tail", Path("Person", "Paper", "Venue"), 0.2); err != nil {
+				t.Fatal(err)
+			}
+			ingest(t, p, edges[60:])
+		}, 8696, "cb5c55953524b779f6b79b9a36e7fee3e531dc8820b776661a348f9b94f487c9"},
+		{"norecord", 1, false, func(t *testing.T, p *Partitioner) { ingest(t, p, edges) },
+			8219, "8dee886b23a45fb38de330048abb997acef64ba3c8c5a567fdbf7bea5635b348"},
+		{"sub+err", 1, true, func(t *testing.T, p *Partitioner) {
+			p.Subscribe(func(PlacementEvent) {})
+			ingest(t, p, edges[:60])
+			if err := p.AddEdgeE(edges[0].U, "Bogus", 999999, "Person"); err == nil {
+				t.Fatal("conflicting label accepted")
+			}
+			ingest(t, p, edges[60:])
+		}, 9250, "47538503d245589b4b2ea88e609cca8cb2b60acdaba728a851e524a9526406a7"},
+	} {
+		t.Run(fmt.Sprintf("%s/workers=%d", tc.name, tc.workers), func(t *testing.T) {
+			o := opt
+			o.Workers = tc.workers
+			o.DisableGraphRecording = !tc.record
+			o, err := o.normalise()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl, err := DatasetWorkload("dblp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := newLoom(o, wl, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.build(t, p)
+			payload, err := p.encodeCheckpointLocked()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(payload)
+			if len(payload) != tc.size || hex.EncodeToString(sum[:]) != tc.sum {
+				t.Fatalf("checkpoint is %d B, sha256 %x; want %d B, %s", len(payload), sum, tc.size, tc.sum)
+			}
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -316,6 +317,13 @@ func TestFollowerMirrorTailsPrimary(t *testing.T) {
 	// The follower's partitioner refuses direct ingest.
 	if err := f.Partitioner().AddBatch(edges[:1]); err == nil {
 		t.Fatal("follower accepted direct AddBatch")
+	}
+	if err := f.Partitioner().AddQuery("late", loom.Path("Person", "Paper"), 0.1); err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("follower AddQuery = %v, want the read-only error", err)
+	}
+	f.Partitioner().Flush() // a silent no-op on a follower
+	if err := f.Partitioner().Err(); err != nil {
+		t.Fatalf("refused follower ingest latched the sticky Err: %v", err)
 	}
 
 	final := p.Snapshot()
